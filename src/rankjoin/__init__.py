@@ -45,7 +45,6 @@ from .ranking import (
     ScoreModel,
     check_compatible,
     direct_score,
-    domains_from_database,
     parse_ranking,
     probe_decomposable,
 )

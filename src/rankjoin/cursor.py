@@ -1,11 +1,20 @@
 """Pull-based ranked enumeration over a PreparedQuery.
 
 Each pull emits the root queue's top, then walks top-down through the cells
-that produced it: every visited node pops its consumed cell, generates sibling
-candidates by advancing one child handle at a time, and (except at the root)
-memoizes its successor in the cell's `next` slot. Memoized nodes short-circuit
-on later visits — that is what keeps per-pull work proportional to the tree
-size rather than the subtree result size.
+that produced it: every visited node pops its consumed cell, inserts one
+sibling per child at or after the cell's pivot by advancing that child's
+handle, and (except at the root) memoizes its successor in the cell's `next`
+slot. Memoized nodes short-circuit on later visits — that is what keeps
+per-pull work proportional to the tree size rather than the subtree result
+size.
+
+The pivot rule is Lawler's partition (Lawler, "A procedure for computing the
+K best solutions to discrete optimization problems and its application to the
+shortest path problem", Management Science, 1972): the sibling made by
+advancing child i gets pivot i, so every child-handle combination has exactly
+one parent cell and is generated exactly once. Every accepted ranking is
+monotone in each child's (score, tie), so a cell never ranks before its
+parent, and each queue's top is still its best combination not yet consumed.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import heapq
 from typing import List, Optional, Tuple
 
 from .errors import EngineInvariantError
-from .preprocess import UNSET, Cell, HeapEntry, PreparedQuery
+from .preprocess import UNSET, PreparedQuery, new_cell
 from .result import OutputTuple
 
 
@@ -89,44 +98,29 @@ class RankedCursor:
             )
         heapq.heappop(heap)
         p.counters.pops += 1
-        node = p.decomposition.nodes[nid]
-        for i, child in enumerate(node.children):
-            succ = self._topdown(child, cell.child_handles[i])
+        children = p.decomposition.nodes[nid].children
+        # Children below the pivot hold handles that this cell's Lawler
+        # ancestors already consumed, so their successors are memoized.
+        for i in range(cell.pivot, len(children)):
+            succ = self._topdown(children[i], cell.child_handles[i])
             if succ is not None:
                 sibling = (
                     cell.child_handles[:i] + (succ,) + cell.child_handles[i + 1 :]
                 )
-                self._insert(nid, key, cell.valuation, sibling)
+                self._insert(nid, key, cell.valuation, sibling, i)
         if nid == p.decomposition.root:
             # Root cells are never chained; consumed ones are simply dropped.
             return None
         cell.next = heap[0].handle if heap else None
         return cell.next
 
-    def _insert(self, nid, key, valuation, child_handles) -> None:
+    def _insert(self, nid, key, valuation, child_handles, pivot) -> None:
         p = self.prepared
-        state = p.states[nid]
-        seen = state.dedup.setdefault(key, set())
-        identity = (valuation, child_handles)
-        if identity in seen:
-            return
-        seen.add(identity)
-        node = p.decomposition.nodes[nid]
-        model = p.model
-        score = model.node_score(nid, valuation)
-        child_cells = []
-        for c, h in zip(node.children, child_handles):
-            cc = p.states[c].cells[h]
-            child_cells.append(cc)
-            score = model.combine(score, cc.score)
-        tie = state.make_tie(valuation, child_cells)
-        cell = Cell(valuation, child_handles, score, tie)
-        handle = len(state.cells)
-        state.cells.append(cell)
-        p.counters.cells += 1
-        heapq.heappush(
-            state.queues[key], HeapEntry(score, tie, handle, p.counters)
+        entry = new_cell(
+            p.states, p.decomposition.nodes[nid], p.model, p.counters,
+            valuation, child_handles, pivot,
         )
+        heapq.heappush(p.states[nid].queues[key], entry)
         p.counters.inserts += 1
 
     def drain_topk(self, k: int) -> List[OutputTuple]:

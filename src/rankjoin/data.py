@@ -159,10 +159,6 @@ class Relation:
     rows: Tuple[Tuple[int, ...], ...]
     weights: Optional[Dict[Tuple[int, ...], int]] = field(default=None, compare=False)
 
-    @property
-    def has_weights(self) -> bool:
-        return self.weights is not None
-
     def weight_of(self, row: Tuple[int, ...]) -> int:
         # Tuples outside the relation contribute the additive identity 0.
         if self.weights is None:
@@ -234,10 +230,6 @@ class Database:
 
     def vertex_weight(self, cid: int) -> int:
         return self.vertex_weights.get(cid, 0)
-
-    @property
-    def domain_size(self) -> int:
-        return len(self._decode)
 
 
 def semijoin(left: Relation, right: Relation, on: Sequence[str]) -> Relation:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CyclicQueryError, DecompositionError, StructureError
-from .query import ConjunctiveQuery
+from .query import ConjunctiveQuery, atom_components
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class DecompNode:
     val_vars: Tuple[str, ...]
     subtree_vars: FrozenSet[str]
     var_order: Tuple[str, ...]  # bag in global (head) order
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
@@ -220,30 +216,6 @@ def validate(d: TreeDecomposition) -> None:
                 raise DecompositionError(f"node {node.id}: key != bag ∩ parent bag")
 
 
-def _atom_components(q: ConjunctiveQuery) -> List[List[int]]:
-    parent = list(range(len(q.atoms)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: Dict[str, int] = {}
-    for i, atom in enumerate(q.atoms):
-        for v in atom.variables:
-            if v in owner:
-                ri, rj = find(owner[v]), find(i)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            else:
-                owner[v] = i
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(q.atoms)):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
 def _component_root(q: ConjunctiveQuery, comp: Sequence[int]) -> int:
     return max(comp, key=lambda i: (len(q.atoms[i].variables), -i))
 
@@ -257,7 +229,7 @@ def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition:
     atom_vars = [set(a.variables) for a in q.atoms]
     parents: Dict[int, Optional[int]] = {}
     comp_roots: List[int] = []
-    for comp in _atom_components(q):
+    for comp in atom_components(q):
         root = _component_root(q, comp)
         remaining = set(comp)
         while len(remaining) > 1:

@@ -1,21 +1,26 @@
 """Preprocessing: materialize bags, run the full reducer, build the queues.
 
 After this pass every node holds, per key valuation, a min-heap of cells.
-A cell ⟨bag valuation, child handles, next⟩ stands for one whole subtree
-valuation: its partial score is the node's own contribution combined with the
-scores of the referenced child cells, and its tie key is the subtree valuation
-itself (in the global variable order), which makes the heap order a strict
-total order and enumeration deterministic.
+A cell ⟨bag valuation, child handles, pivot, next⟩ stands for one whole
+subtree valuation: its partial score is the node's own contribution combined
+with the scores of the referenced child cells, and its tie key is the subtree
+valuation itself (in the global variable order), which makes the heap order a
+strict total order and enumeration deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .data import Database, Relation, semijoin
-from .decomposition import TreeDecomposition, augment_for_bounded, gyo_join_tree
+from .decomposition import (
+    DecompNode,
+    TreeDecomposition,
+    augment_for_bounded,
+    gyo_join_tree,
+)
 from .errors import EngineInvariantError, IncompatibleRankingError
 from .query import ConjunctiveQuery
 from .ranking import RankingFunction, ScoreModel, check_compatible
@@ -35,13 +40,16 @@ class Counters:
 
 
 class Cell:
-    __slots__ = ("valuation", "child_handles", "score", "tie", "next")
+    # `pivot`: the lowest child index this cell may still advance (Lawler's
+    # partition; the rule is described in cursor.py).
+    __slots__ = ("valuation", "child_handles", "score", "tie", "pivot", "next")
 
-    def __init__(self, valuation, child_handles, score, tie):
+    def __init__(self, valuation, child_handles, score, tie, pivot):
         self.valuation = valuation
         self.child_handles = child_handles
         self.score = score
         self.tie = tie
+        self.pivot = pivot
         self.next = UNSET
 
 
@@ -63,7 +71,6 @@ class HeapEntry:
 
 @dataclass
 class NodeState:
-    node_id: int
     key_positions: Tuple[int, ...]
     child_key_positions: Tuple[Tuple[int, ...], ...]
     # Each slot of the subtree valuation comes either from this bag
@@ -71,7 +78,6 @@ class NodeState:
     tie_recipe: Tuple[Tuple, ...]
     cells: List[Cell] = field(default_factory=list)
     queues: Dict[Tuple[int, ...], List[HeapEntry]] = field(default_factory=dict)
-    dedup: Dict[Tuple[int, ...], Set[Tuple]] = field(default_factory=dict)
 
     def make_tie(self, valuation, child_cells) -> Tuple[int, ...]:
         out = []
@@ -109,7 +115,6 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
                     f"node {nid}: variable {v} in no child subtree"
                 )
     return NodeState(
-        node_id=nid,
         key_positions=tuple(order[v] for v in node.key_vars),
         child_key_positions=tuple(child_keys),
         tie_recipe=tuple(recipe),
@@ -225,6 +230,32 @@ class PreparedQuery:
         return self.states[self.decomposition.root]
 
 
+def new_cell(
+    states: Dict[int, NodeState],
+    node: DecompNode,
+    model: ScoreModel,
+    counters: Counters,
+    valuation: Tuple[int, ...],
+    child_handles: Tuple[int, ...],
+    pivot: int,
+) -> HeapEntry:
+    """Store the cell for `valuation` over the given child cells and return
+    its heap entry; the caller puts the entry into the node's queue and
+    counts the insert. The only place a cell's score and tie are formed."""
+    state = states[node.id]
+    score = model.node_score(node.id, valuation)
+    child_cells = []
+    for c, h in zip(node.children, child_handles):
+        cc = states[c].cells[h]
+        child_cells.append(cc)
+        score = model.combine(score, cc.score)
+    tie = state.make_tie(valuation, child_cells)
+    handle = len(state.cells)
+    state.cells.append(Cell(valuation, child_handles, score, tie, pivot))
+    counters.cells += 1
+    return HeapEntry(score, tie, handle, counters)
+
+
 def initialize_queues(
     reduced: Dict[int, Relation],
     d: TreeDecomposition,
@@ -239,8 +270,6 @@ def initialize_queues(
         per_key: Dict[Tuple[int, ...], List[HeapEntry]] = {}
         for theta in reduced[nid].rows:
             handles = []
-            child_cells = []
-            score = model.node_score(nid, theta)
             for i, c in enumerate(node.children):
                 ckey = tuple(theta[p] for p in state.child_key_positions[i])
                 heap = states[c].queues.get(ckey)
@@ -249,20 +278,11 @@ def initialize_queues(
                         f"node {nid}: reduced tuple {theta} has no matching "
                         f"cell at child {c} (full reducer should prevent this)"
                     )
-                top = heap[0]
-                handles.append(top.handle)
-                child_cells.append(states[c].cells[top.handle])
-                score = model.combine(score, states[c].cells[top.handle].score)
-            tie = state.make_tie(theta, child_cells)
-            cell = Cell(theta, tuple(handles), score, tie)
-            handle = len(state.cells)
-            state.cells.append(cell)
-            counters.cells += 1
+                handles.append(heap[0].handle)
             key = tuple(theta[p] for p in state.key_positions)
             per_key.setdefault(key, []).append(
-                HeapEntry(score, tie, handle, counters)
+                new_cell(states, node, model, counters, theta, tuple(handles), 0)
             )
-            state.dedup.setdefault(key, set()).add((theta, cell.child_handles))
         for key, entries in per_key.items():
             counters.inserts += len(entries)
             heapq.heapify(entries)

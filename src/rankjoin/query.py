@@ -42,9 +42,6 @@ class ConjunctiveQuery:
     def variables(self) -> Set[str]:
         return {v for a in self.atoms for v in a.variables}
 
-    def head_index(self, var: str) -> int:
-        return self.head.index(var)
-
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self.atoms)
         return f"{self.name}({','.join(self.head)}) :- {body}"
@@ -137,8 +134,9 @@ def render_query(q: UnionQuery) -> str:
     return str(q)
 
 
-def connected_components(cq: ConjunctiveQuery) -> List[ConjunctiveQuery]:
-    """Partition the atoms into maximal variable-connected components."""
+def atom_components(cq: ConjunctiveQuery) -> List[List[int]]:
+    """Group atom indices into maximal variable-connected components, each
+    sorted, ordered by their smallest index."""
     parent = list(range(len(cq.atoms)))
 
     def find(i: int) -> int:
@@ -147,24 +145,26 @@ def connected_components(cq: ConjunctiveQuery) -> List[ConjunctiveQuery]:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     owner: Dict[str, int] = {}
     for i, atom in enumerate(cq.atoms):
         for v in atom.variables:
             if v in owner:
-                union(owner[v], i)
+                ri, rj = find(owner[v]), find(i)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
             else:
                 owner[v] = i
     groups: Dict[int, List[int]] = {}
     for i in range(len(cq.atoms)):
         groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def connected_components(cq: ConjunctiveQuery) -> List[ConjunctiveQuery]:
+    """Partition the atoms into maximal variable-connected components."""
     components = []
-    for root in sorted(groups):
-        atoms = tuple(cq.atoms[i] for i in groups[root])
+    for group in atom_components(cq):
+        atoms = tuple(cq.atoms[i] for i in group)
         comp_vars = {v for a in atoms for v in a.variables}
         head = tuple(v for v in cq.head if v in comp_vars)
         components.append(ConjunctiveQuery(cq.name, head, atoms))

@@ -359,16 +359,3 @@ def probe_decomposable(
             if below is not None and above is not None:
                 return (s_space[i], s_space[j], below, above)
     return None
-
-
-def domains_from_database(db: Database, variables: Sequence[str],
-                          q: ConjunctiveQuery) -> Dict[str, List[str]]:
-    """Per-variable active domains (raw values) from the atoms using each variable."""
-    out: Dict[str, set] = {v: set() for v in variables}
-    for atom in q.atoms:
-        rel = db.relation(atom.relation)
-        for row in rel.rows:
-            for v, cid in zip(atom.variables, row):
-                if v in out:
-                    out[v].add(db.decode(cid))
-    return {v: sorted(vals) for v, vals in out.items()}

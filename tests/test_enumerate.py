@@ -93,6 +93,31 @@ class TestInvariants:
             assert inserts <= max_inserts
             assert cells <= max_inserts
 
+    def test_each_child_combination_generated_once(self, monkeypatch):
+        """Lawler's pivot rule: every sibling insert creates a cell (none is
+        discarded as a duplicate) and no node holds a combination twice."""
+        calls = []
+        insert = RankedCursor._insert
+
+        def counted(self, *args):
+            calls.append(args)
+            return insert(self, *args)
+
+        monkeypatch.setattr(RankedCursor, "_insert", counted)
+        db, q = running_example()  # node 1 has two children
+        cases = [(db, q, None, parse_ranking("tuple_sum"))]
+        for seed in range(3):
+            db, uq, d = random_instance("star", seed)
+            cases += [(db, uq.disjuncts[0], d, rank_for("star", i)) for i in range(4)]
+        for db, cq, d, rf in cases:
+            calls.clear()
+            p = prepare(db, cq, rf, d)
+            RankedCursor(p).drain()
+            assert len(calls) == p.counters.cells - p.initial_cells
+            for state in p.states.values():
+                made = [(c.valuation, c.child_handles) for c in state.cells]
+                assert len(made) == len(set(made))
+
     def test_determinism_across_fresh_preparations(self):
         db, uq, d = random_instance("4path", 9)
         rf = rank_for("4path", 1)
