@@ -76,6 +76,18 @@ def _read_config(path: str) -> Dict[str, str]:
     return out
 
 
+def _parse_k(raw) -> Optional[int]:
+    if raw is None:
+        return None
+    try:
+        k = int(raw)
+    except ValueError:
+        k = None
+    if k is None or k < 0:
+        raise IngestError(f"k must be a non-negative integer, got {raw!r}")
+    return k
+
+
 class Job:
     def __init__(self, args: argparse.Namespace):
         cfg = _read_config(args.config) if getattr(args, "config", None) else {}
@@ -91,10 +103,7 @@ class Job:
         self.vertex_weights_path = pick(
             getattr(args, "vertex_weights", None), "vertex_weights"
         )
-        k = getattr(args, "k", None)
-        self.k: Optional[int] = k if k is not None else (
-            int(cfg["k"]) if "k" in cfg else None
-        )
+        self.k = _parse_k(pick(getattr(args, "k", None), "k"))
 
     def query(self) -> UnionQuery:
         if not self.query_path:

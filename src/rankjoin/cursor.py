@@ -2,18 +2,18 @@
 
 Each pull emits the root queue's top, then walks top-down through the cells
 that produced it: every visited node pops its consumed cell, inserts one
-sibling per child at or after the cell's pivot by advancing that child's
-handle, and (except at the root) memoizes its successor in the cell's `next`
-slot. Memoized nodes short-circuit on later visits — that is what keeps
-per-pull work proportional to the tree size rather than the subtree result
-size.
+sibling per child at or after the cell's pivot by replacing that child's cell
+with its successor, and (except at the root) memoizes its successor in the
+cell's `next` slot. Memoized nodes short-circuit on later visits — that is
+what keeps per-pull work proportional to the tree size rather than the
+subtree result size.
 
 The pivot rule is Lawler's partition (Lawler, "A procedure for computing the
 K best solutions to discrete optimization problems and its application to the
 shortest path problem", Management Science, 1972): the sibling made by
-advancing child i gets pivot i, so every child-handle combination has exactly
-one parent cell and is generated exactly once. Every accepted ranking is
-monotone in each child's (score, tie), so a cell never ranks before its
+advancing child i gets pivot i, so every combination of child cells has
+exactly one parent cell and is generated exactly once. Every accepted ranking
+is monotone in each child's (score, tie), so a cell never ranks before its
 parent, and each queue's top is still its best combination not yet consumed.
 """
 
@@ -23,7 +23,7 @@ import heapq
 from typing import List, Optional, Tuple
 
 from .errors import EngineInvariantError
-from .preprocess import UNSET, PreparedQuery, new_cell
+from .preprocess import UNSET, Cell, PreparedQuery, new_cell
 from .result import OutputTuple
 
 
@@ -76,51 +76,45 @@ class RankedCursor:
         if not heap:
             return None
         before = p.counters.snapshot()
-        top = heap[0]
-        cell = state.cells[top.handle]
+        cell = heap[0]
         out = OutputTuple(values=cell.tie, score=cell.score)
-        self._topdown(root, top.handle)
+        self._topdown(root, cell)
         after = p.counters.snapshot()
         self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
         return out
 
-    def _topdown(self, nid: int, handle: int):
+    def _topdown(self, nid: int, cell: Cell):
         p = self.prepared
         state = p.states[nid]
-        cell = state.cells[handle]
         if cell.next is not UNSET:
             return cell.next
         key = tuple(cell.valuation[pos] for pos in state.key_positions)
         heap = state.queues.get(key)
-        if not heap or heap[0].handle != handle:
+        if not heap or heap[0] is not cell:
             raise EngineInvariantError(
                 f"node {nid}: consumed cell is not the top of its queue"
             )
         heapq.heappop(heap)
         p.counters.pops += 1
         children = p.decomposition.nodes[nid].children
-        # Children below the pivot hold handles that this cell's Lawler
+        # Children below the pivot hold cells that this cell's Lawler
         # ancestors already consumed, so their successors are memoized.
         for i in range(cell.pivot, len(children)):
-            succ = self._topdown(children[i], cell.child_handles[i])
+            succ = self._topdown(children[i], cell.child_cells[i])
             if succ is not None:
-                sibling = (
-                    cell.child_handles[:i] + (succ,) + cell.child_handles[i + 1 :]
-                )
+                sibling = cell.child_cells[:i] + (succ,) + cell.child_cells[i + 1 :]
                 self._insert(nid, key, cell.valuation, sibling, i)
         if nid == p.decomposition.root:
             # Root cells are never chained; consumed ones are simply dropped.
             return None
-        cell.next = heap[0].handle if heap else None
+        cell.next = heap[0] if heap else None
         return cell.next
 
-    def _insert(self, nid, key, valuation, child_handles, pivot) -> None:
+    def _insert(self, nid, key, valuation, child_cells, pivot) -> None:
         p = self.prepared
-        entry = new_cell(
-            p.states, p.decomposition.nodes[nid], p.model, p.counters,
-            valuation, child_handles, pivot,
-        )
-        heapq.heappush(p.states[nid].queues[key], entry)
+        state = p.states[nid]
+        cell = new_cell(state, nid, p.model, p.counters, valuation, child_cells, pivot)
+        heapq.heappush(state.queues[key], cell)
         p.counters.inserts += 1
 
     def drain_topk(self, k: int) -> List[OutputTuple]:

@@ -3,7 +3,9 @@
 Constants are interned into a per-database dictionary of dense integer ids.
 The id order agrees with the raw-value order (numeric when every domain value
 parses as an integer, bytewise lexicographic otherwise) and is frozen once the
-database is built, so lexicographic rankings are well-defined.
+database is built, so lexicographic rankings are well-defined. Integer literals
+of equal value ("7", "07", "+7") are distinct constants, ordered by their text,
+so the order never depends on the string hash seed.
 
 Weights are 64-bit integers; users needing reals are expected to scale to
 fixed-point. Tuples are plain python tuples of ids with a parallel weight map,
@@ -199,9 +201,10 @@ class Database:
             values.update(vertex_weights)
         # One total order for the whole domain: numeric when everything is an
         # integer literal, bytewise otherwise (a pairwise mixed rule would not
-        # be transitive).
+        # be transitive). Equal numbers tie-break on their text; `values` is
+        # a set, so leaving them tied would make the order hash-seed dependent.
         if all(_INT_RE.match(v) for v in values):
-            decode = sorted(values, key=int)
+            decode = sorted(values, key=lambda v: (int(v), v))
         else:
             decode = sorted(values, key=lambda v: v.encode("utf-8"))
         encode = {v: i for i, v in enumerate(decode)}

@@ -1,11 +1,13 @@
 """Preprocessing: materialize bags, run the full reducer, build the queues.
 
 After this pass every node holds, per key valuation, a min-heap of cells.
-A cell ⟨bag valuation, child handles, pivot, next⟩ stands for one whole
+A cell ⟨bag valuation, child cells, pivot, next⟩ stands for one whole
 subtree valuation: its partial score is the node's own contribution combined
 with the scores of the referenced child cells, and its tie key is the subtree
 valuation itself (in the global variable order), which makes the heap order a
-strict total order and enumeration deterministic.
+strict total order and enumeration deterministic. Cells sit in their queue
+directly and refer to their child cells, so a cell nothing references any
+more (a consumed root cell, say) is freed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .data import Database, Relation, semijoin
 from .decomposition import (
-    DecompNode,
     TreeDecomposition,
     augment_for_bounded,
     gyo_join_tree,
@@ -41,28 +42,22 @@ class Counters:
 
 class Cell:
     # `pivot`: the lowest child index this cell may still advance (Lawler's
-    # partition; the rule is described in cursor.py).
-    __slots__ = ("valuation", "child_handles", "score", "tie", "pivot", "next")
+    # partition; the rule is described in cursor.py). `next`: the successor
+    # cell in this cell's queue once computed, None when there is none.
+    __slots__ = (
+        "valuation", "child_cells", "score", "tie", "pivot", "next", "counters"
+    )
 
-    def __init__(self, valuation, child_handles, score, tie, pivot):
+    def __init__(self, valuation, child_cells, score, tie, pivot, counters):
         self.valuation = valuation
-        self.child_handles = child_handles
+        self.child_cells = child_cells
         self.score = score
         self.tie = tie
         self.pivot = pivot
         self.next = UNSET
-
-
-class HeapEntry:
-    __slots__ = ("score", "tie", "handle", "counters")
-
-    def __init__(self, score, tie, handle, counters):
-        self.score = score
-        self.tie = tie
-        self.handle = handle
         self.counters = counters
 
-    def __lt__(self, other: "HeapEntry") -> bool:
+    def __lt__(self, other: "Cell") -> bool:
         self.counters.comparisons += 1
         if self.score != other.score:
             return self.score < other.score
@@ -76,8 +71,7 @@ class NodeState:
     # Each slot of the subtree valuation comes either from this bag
     # ("o", bag position) or from one child's tie ("c", child index, position).
     tie_recipe: Tuple[Tuple, ...]
-    cells: List[Cell] = field(default_factory=list)
-    queues: Dict[Tuple[int, ...], List[HeapEntry]] = field(default_factory=dict)
+    queues: Dict[Tuple[int, ...], List[Cell]] = field(default_factory=dict)
 
     def make_tie(self, valuation, child_cells) -> Tuple[int, ...]:
         out = []
@@ -231,29 +225,23 @@ class PreparedQuery:
 
 
 def new_cell(
-    states: Dict[int, NodeState],
-    node: DecompNode,
+    state: NodeState,
+    nid: int,
     model: ScoreModel,
     counters: Counters,
     valuation: Tuple[int, ...],
-    child_handles: Tuple[int, ...],
+    child_cells: Tuple[Cell, ...],
     pivot: int,
-) -> HeapEntry:
-    """Store the cell for `valuation` over the given child cells and return
-    its heap entry; the caller puts the entry into the node's queue and
-    counts the insert. The only place a cell's score and tie are formed."""
-    state = states[node.id]
-    score = model.node_score(node.id, valuation)
-    child_cells = []
-    for c, h in zip(node.children, child_handles):
-        cc = states[c].cells[h]
-        child_cells.append(cc)
+) -> Cell:
+    """Make the cell for `valuation` over the given child cells; the caller
+    puts it into the node's queue and counts the insert. The only place a
+    cell's score and tie are formed."""
+    score = model.node_score(nid, valuation)
+    for cc in child_cells:
         score = model.combine(score, cc.score)
     tie = state.make_tie(valuation, child_cells)
-    handle = len(state.cells)
-    state.cells.append(Cell(valuation, child_handles, score, tie, pivot))
     counters.cells += 1
-    return HeapEntry(score, tie, handle, counters)
+    return Cell(valuation, child_cells, score, tie, pivot, counters)
 
 
 def initialize_queues(
@@ -267,9 +255,9 @@ def initialize_queues(
         node = d.nodes[nid]
         state = _node_state(d, nid)
         states[nid] = state
-        per_key: Dict[Tuple[int, ...], List[HeapEntry]] = {}
+        per_key: Dict[Tuple[int, ...], List[Cell]] = {}
         for theta in reduced[nid].rows:
-            handles = []
+            child_cells = []
             for i, c in enumerate(node.children):
                 ckey = tuple(theta[p] for p in state.child_key_positions[i])
                 heap = states[c].queues.get(ckey)
@@ -278,15 +266,15 @@ def initialize_queues(
                         f"node {nid}: reduced tuple {theta} has no matching "
                         f"cell at child {c} (full reducer should prevent this)"
                     )
-                handles.append(heap[0].handle)
+                child_cells.append(heap[0])
             key = tuple(theta[p] for p in state.key_positions)
             per_key.setdefault(key, []).append(
-                new_cell(states, node, model, counters, theta, tuple(handles), 0)
+                new_cell(state, nid, model, counters, theta, tuple(child_cells), 0)
             )
-        for key, entries in per_key.items():
-            counters.inserts += len(entries)
-            heapq.heapify(entries)
-            state.queues[key] = entries
+        for key, cells in per_key.items():
+            counters.inserts += len(cells)
+            heapq.heapify(cells)
+            state.queues[key] = cells
     return states
 
 

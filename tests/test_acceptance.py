@@ -115,18 +115,16 @@ def test_criterion_1_running_example():
     assert queue_scores(1, ("1",))[0] == 3
     assert queue_scores(0, ()) == [4, 5]
 
+    cell = p.states[1].queues[(db.encode("1"),)][0]
     cursor = RankedCursor(p)
     results = cursor.drain()
     assert [r.score for r in results[:2]] == [4, 5]
     assert [r.score for r in results] == [4, 5, 7, 8, 8, 9, 11, 12]
 
     chain_scores = []
-    state = p.states[1]
-    handle = 0
-    while handle is not None:
-        cell = state.cells[handle]
+    while cell is not None:
         chain_scores.append(cell.score)
-        handle = None if cell.next is UNSET else cell.next
+        cell = None if cell.next is UNSET else cell.next
     assert chain_scores == [3, 6, 7, 10]
     assert time.perf_counter() - t0 < 1.0
 

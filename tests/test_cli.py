@@ -91,6 +91,20 @@ def test_config_file_with_flag_override(workspace, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
 
+def test_config_k_not_an_integer(workspace, capsys):
+    conf = workspace / "job.conf"
+    conf.write_text("k=abc\n")
+    assert main(["topk", *_base_args(workspace), "--config", str(conf)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_k_flag(workspace, capsys):
+    assert main(["topk", *_base_args(workspace), "-k", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_incompatible_ranking_exit_code(workspace, tmp_path, capsys):
     decomp = tmp_path / "d.txt"
     decomp.write_text(

@@ -1,4 +1,11 @@
+import heapq
+
+import pytest
+
 from rankjoin import RankedCursor, UnionQuery, brute_force_ranked, parse_ranking, prepare
+from rankjoin import cursor as cursor_module
+from rankjoin import preprocess
+from rankjoin.errors import EngineInvariantError
 from rankjoin.preprocess import UNSET
 
 from helpers import engine_lines, oracle_lines, random_instance, rank_for, running_example
@@ -31,15 +38,13 @@ class TestRunningExample:
     def test_chain_at_middle_node(self):
         """After a full drain the middle node's next-chain is the ranked
         materialization of its subtree: scores 3, 6, 7, 10."""
-        _, _, cur = _cursor()
+        db, _, cur = _cursor()
+        cell = cur.prepared.states[1].queues[(db.encode("1"),)][0]
         cur.drain()
-        state = cur.prepared.states[1]
         scores = []
-        handle = 0  # the first cell created at the node
-        while handle is not None:
-            cell = state.cells[handle]
+        while cell is not None:
             scores.append(cell.score)
-            handle = None if cell.next is UNSET else cell.next
+            cell = None if cell.next is UNSET else cell.next
         assert scores == [3, 6, 7, 10]
 
     def test_memoized_leaf_visit_costs_nothing(self):
@@ -103,7 +108,18 @@ class TestInvariants:
             calls.append(args)
             return insert(self, *args)
 
+        # Every cell made is kept alive here, so no two share an id().
+        made_at = {}
+        make = preprocess.new_cell
+
+        def recorded(state, nid, *args):
+            cell = make(state, nid, *args)
+            made_at.setdefault(nid, []).append(cell)
+            return cell
+
         monkeypatch.setattr(RankedCursor, "_insert", counted)
+        monkeypatch.setattr(preprocess, "new_cell", recorded)
+        monkeypatch.setattr(cursor_module, "new_cell", recorded)
         db, q = running_example()  # node 1 has two children
         cases = [(db, q, None, parse_ranking("tuple_sum"))]
         for seed in range(3):
@@ -111,12 +127,33 @@ class TestInvariants:
             cases += [(db, uq.disjuncts[0], d, rank_for("star", i)) for i in range(4)]
         for db, cq, d, rf in cases:
             calls.clear()
+            made_at.clear()
             p = prepare(db, cq, rf, d)
             RankedCursor(p).drain()
             assert len(calls) == p.counters.cells - p.initial_cells
-            for state in p.states.values():
-                made = [(c.valuation, c.child_handles) for c in state.cells]
+            for cells in made_at.values():
+                made = [(c.valuation, tuple(map(id, c.child_cells))) for c in cells]
                 assert len(made) == len(set(made))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_consumed_cell_must_top_its_queue(self, depth):
+        """A pull whose cell below the root is no longer its queue's top is an
+        engine fault, not a silent skip. Popping that top leaves the root's
+        child queue empty (depth 1) and the grandchild queue with one other
+        cell on top (depth 2)."""
+        db, q = running_example()
+        p = prepare(db, q, parse_ranking("tuple_sum"))
+        nid = p.decomposition.root
+        cell = p.states[nid].queues[()][0]
+        for _ in range(depth):
+            nid = p.decomposition.nodes[nid].children[0]
+            cell = cell.child_cells[0]
+        state = p.states[nid]
+        heap = state.queues[tuple(cell.valuation[i] for i in state.key_positions)]
+        heapq.heappop(heap)
+        assert len(heap) == depth - 1
+        with pytest.raises(EngineInvariantError):
+            RankedCursor(p).next()
 
     def test_determinism_across_fresh_preparations(self):
         db, uq, d = random_instance("4path", 9)

@@ -121,11 +121,14 @@ class TestQueueTopMinimal:
         rf = rank_for(shape, 0)  # tuple_sum
         p = prepare(db, cq, rf, d)
 
+        def cells_at(nid):
+            return [cell for heap in p.states[nid].queues.values() for cell in heap]
+
         def subtree_min(nid, key):
             state = p.states[nid]
             node = p.decomposition.nodes[nid]
             best = None
-            for cell in state.cells:
+            for cell in cells_at(nid):
                 k = tuple(cell.valuation[pos] for pos in state.key_positions)
                 if k != key:
                     continue
@@ -136,7 +139,7 @@ class TestQueueTopMinimal:
         def _subtree_score(p, nid, cell):
             node = p.decomposition.nodes[nid]
             score = p.model.node_score(nid, cell.valuation)
-            for c, h in zip(node.children, cell.child_handles):
+            for c in node.children:
                 # exhaustive: minimum over all joinable child subtree choices
                 child_state = p.states[c]
                 child_key_vars = p.decomposition.nodes[c].key_vars
@@ -144,7 +147,7 @@ class TestQueueTopMinimal:
                 ck = tuple(cell.valuation[order[v]] for v in child_key_vars)
                 options = [
                     _subtree_score(p, c, cc)
-                    for cc in child_state.cells
+                    for cc in cells_at(c)
                     if tuple(
                         cc.valuation[pos] for pos in child_state.key_positions
                     )

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rankjoin
 from rankjoin import (
     Database,
     IngestError,
@@ -88,6 +91,27 @@ class TestDatabase:
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("1",)])
         db = Database.build([t])
         assert db.encode("1") < db.encode("2") < db.encode("10")
+
+    def test_equal_integer_literals_order_by_text(self):
+        """Equal integers written differently ("7", "07", "+7") are distinct
+        constants; their order must not follow the string hash seed."""
+        script = (
+            "from rankjoin import Database, Table\n"
+            "vals = ['7', '07', '007', '+7', '8', '08']\n"
+            "t = Table.from_rows('R', ('x',), [(v,) for v in vals])\n"
+            "db = Database.build([t])\n"
+            "print(','.join(db.decode(i) for i in range(len(vals))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(rankjoin.__file__))
+        orders = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            orders.add(run.stdout.strip())
+        assert orders == {"+7,007,07,7,08,8"}
 
     def test_mixed_domain_is_bytewise(self):
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("a",)])
