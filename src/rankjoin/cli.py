@@ -13,7 +13,7 @@ import os
 import statistics
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .analysis import GENERATORS, analyze
 from .cursor import RankedCursor
@@ -111,7 +111,8 @@ class Job:
         with open(self.query_path) as fh:
             return parse_query(fh.read())
 
-    def database(self, uq: UnionQuery) -> Database:
+    def load(self, uq: UnionQuery) -> Tuple[List[Table], Optional[Dict[str, int]]]:
+        """Read the query's relations and the vertex weights, unencoded."""
         if not self.data_dir:
             raise IngestError("no data directory given (--data or data= in config)")
         names = sorted({a.relation for d in uq.disjuncts for a in d.atoms})
@@ -125,7 +126,10 @@ class Job:
         vw = None
         if self.vertex_weights_path:
             vw = load_vertex_weights(self.vertex_weights_path)
-        return Database.build(tables, vw)
+        return tables, vw
+
+    def database(self, uq: UnionQuery) -> Database:
+        return Database.build(*self.load(uq))
 
     @staticmethod
     def _header_has(path: str, column: Optional[str]) -> bool:
@@ -264,19 +268,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     uq = job.query()
     if len(uq.disjuncts) != 1:
         raise IngestError("bench supports single-disjunct queries only")
-    db = job.database(uq)
+    pc = time.perf_counter
+    t0 = pc()
+    tables, vw = job.load(uq)
+    t1 = pc()
+    db = Database.build(tables, vw)
+    t2 = pc()
     rf = job.ranking()
     decomp = job.decomposition(uq)
-    t0 = time.perf_counter()
+    t3 = pc()
     prepared = prepare(db, uq.disjuncts[0], rf, decomp)
-    prep_seconds = time.perf_counter() - t0
+    t4 = pc()
     cursor = RankedCursor(prepared)
-    t0 = time.perf_counter()
     results = cursor.drain_topk(job.k) if job.k is not None else cursor.drain()
-    enum_seconds = time.perf_counter() - t0
+    t5 = pc()
     stats = cursor.pull_stats
-    print(f"preprocess_seconds={prep_seconds:.6f}")
-    print(f"enumerate_seconds={enum_seconds:.6f}")
+    print(f"load_seconds={t1 - t0:.6f}")
+    print(f"encode_seconds={t2 - t1:.6f}")
+    for key, value in prepared.setup_stats.items():
+        print(f"{key}={value:.6f}" if key.endswith("_seconds") else f"{key}={value}")
+    print(f"preprocess_seconds={t4 - t3:.6f}")
+    print(f"enumerate_seconds={t5 - t4:.6f}")
     print(f"pulls={len(results)}")
     print(f"cells_initial={prepared.initial_cells}")
     print(f"cells_total={prepared.counters.cells}")

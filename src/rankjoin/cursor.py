@@ -88,7 +88,7 @@ class RankedCursor:
         state = p.states[nid]
         if cell.next is not UNSET:
             return cell.next
-        key = tuple(cell.valuation[pos] for pos in state.key_positions)
+        key = state.key(cell.valuation)
         heap = state.queues.get(key)
         if not heap or heap[0] is not cell:
             raise EngineInvariantError(
@@ -103,17 +103,19 @@ class RankedCursor:
             succ = self._topdown(children[i], cell.child_cells[i])
             if succ is not None:
                 sibling = cell.child_cells[:i] + (succ,) + cell.child_cells[i + 1 :]
-                self._insert(nid, key, cell.valuation, sibling, i)
+                self._insert(nid, key, cell.valuation, cell.node_score, sibling, i)
         if nid == p.decomposition.root:
             # Root cells are never chained; consumed ones are simply dropped.
             return None
         cell.next = heap[0] if heap else None
         return cell.next
 
-    def _insert(self, nid, key, valuation, child_cells, pivot) -> None:
+    def _insert(self, nid, key, valuation, node_score, child_cells, pivot) -> None:
         p = self.prepared
         state = p.states[nid]
-        cell = new_cell(state, nid, p.model, p.counters, valuation, child_cells, pivot)
+        cell = new_cell(
+            state, p.model, p.counters, valuation, node_score, child_cells, pivot
+        )
         heapq.heappush(state.queues[key], cell)
         p.counters.inserts += 1
 

@@ -5,7 +5,13 @@ The id order agrees with the raw-value order (numeric when every domain value
 parses as an integer, bytewise lexicographic otherwise) and is frozen once the
 database is built, so lexicographic rankings are well-defined. Integer literals
 of equal value ("7", "07", "+7") are distinct constants, ordered by their text,
-so the order never depends on the string hash seed.
+so the order never depends on the string hash seed. Both orders are computed by
+C-level sorts: the integer order as a stable sort by `int` over the text-sorted
+domain, and the bytewise order as plain `str` order, which equals UTF-8 byte
+order for every encodable string.
+
+Row work is done by getters compiled once per projection (`row_getter`) and
+mapped over the rows, never by a per-row generator.
 
 Weights are 64-bit integers; users needing reals are expected to scale to
 fixed-point. Tuples are plain python tuples of ids with a parallel weight map,
@@ -17,7 +23,9 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import chain, compress
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import IngestError, SchemaError
 
@@ -34,6 +42,18 @@ def _parse_weight(text: str, row_no: int, path: str) -> int:
     if not (INT64_MIN <= value <= INT64_MAX):
         raise IngestError(f"{path}:{row_no}: weight {value} outside 64-bit range")
     return value
+
+
+def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
+    """A C-level function taking a tuple row to the tuple of its values at
+    `positions`, for every width. A bare `itemgetter` would return a scalar
+    for one position and cannot take none; slicing a tuple gives a tuple."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 @dataclass(frozen=True)
@@ -53,9 +73,23 @@ class Table:
         rows: Iterable[Sequence[object]],
         weights: Optional[Sequence[int]] = None,
     ) -> "Table":
-        str_rows = [tuple(str(v) for v in row) for row in rows]
+        """Build a table from in-memory rows, checked the way `load_csv` checks
+        a file: every row has one value per column, and there is one weight
+        per row when weights are given."""
+        columns = tuple(columns)
+        str_rows = [tuple(map(str, row)) for row in rows]
+        for row_no, row in enumerate(str_rows):
+            if len(row) != len(columns):
+                raise IngestError(
+                    f"{name}: row {row_no} {row} has {len(row)} values for "
+                    f"columns {columns}"
+                )
         w = tuple(weights) if weights is not None else None
-        return _dedup_table(name, tuple(columns), str_rows, w, source=name)
+        if w is not None and len(w) != len(str_rows):
+            raise IngestError(
+                f"{name}: {len(w)} weights for {len(str_rows)} rows"
+            )
+        return _dedup_table(name, columns, str_rows, w, source=name)
 
 
 def _dedup_table(
@@ -65,27 +99,21 @@ def _dedup_table(
     weights: Optional[Sequence[int]],
     source: str,
 ) -> Table:
-    seen: Dict[Tuple[str, ...], Optional[int]] = {}
-    out_rows = []
-    out_weights = [] if weights is not None else None
-    for i, row in enumerate(rows):
-        w = weights[i] if weights is not None else None
-        if row in seen:
-            if seen[row] != w:
-                raise IngestError(
-                    f"{source}: duplicated row {row} with conflicting weights "
-                    f"{seen[row]} vs {w}"
-                )
-            continue
-        seen[row] = w
-        out_rows.append(row)
-        if out_weights is not None:
-            out_weights.append(w)
+    """Keep the first occurrence of each row; a repeat must repeat its weight."""
+    if weights is None:
+        return Table(name=name, columns=columns, rows=tuple(dict.fromkeys(rows)))
+    first: Dict[Tuple[str, ...], int] = {}
+    for row, w in zip(rows, weights):
+        if first.setdefault(row, w) != w:
+            raise IngestError(
+                f"{source}: duplicated row {row} with conflicting weights "
+                f"{first[row]} vs {w}"
+            )
     return Table(
         name=name,
         columns=columns,
-        rows=tuple(out_rows),
-        weights=tuple(out_weights) if out_weights is not None else None,
+        rows=tuple(first),
+        weights=tuple(first.values()),
     )
 
 
@@ -103,15 +131,17 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: missing header row") from None
-        header = [h.strip() for h in header]
+        header = tuple(map(str.strip, header))
         widx: Optional[int] = None
         if weight_column is not None:
             if weight_column not in header:
                 raise SchemaError(
-                    f"{path}: weight column {weight_column!r} not in header {header}"
+                    f"{path}: weight column {weight_column!r} not in header "
+                    f"{list(header)}"
                 )
             widx = header.index(weight_column)
-        columns = tuple(h for i, h in enumerate(header) if i != widx)
+        keep = row_getter([i for i in range(len(header)) if i != widx])
+        columns = keep(header)
         rows = []
         weights = [] if widx is not None else None
         for row_no, raw in enumerate(reader, start=2):
@@ -121,10 +151,10 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
                 raise IngestError(
                     f"{path}:{row_no}: expected {len(header)} fields, got {len(raw)}"
                 )
-            raw = [v.strip() for v in raw]
+            raw = tuple(map(str.strip, raw))
             if widx is not None:
                 weights.append(_parse_weight(raw[widx], row_no, path))
-            rows.append(tuple(v for i, v in enumerate(raw) if i != widx))
+            rows.append(keep(raw))
     return _dedup_table(name, columns, rows, weights, source=path)
 
 
@@ -168,7 +198,7 @@ class Relation:
         return self.weights.get(row, 0)
 
     def project_positions(self, positions: Sequence[int]) -> frozenset:
-        return frozenset(tuple(r[p] for p in positions) for r in self.rows)
+        return frozenset(map(row_getter(positions), self.rows))
 
 
 class Database:
@@ -195,25 +225,29 @@ class Database:
         tables = list(tables)
         values = set()
         for t in tables:
-            for row in t.rows:
-                values.update(row)
+            values.update(chain.from_iterable(t.rows))
         if vertex_weights:
             values.update(vertex_weights)
         # One total order for the whole domain: numeric when everything is an
         # integer literal, bytewise otherwise (a pairwise mixed rule would not
         # be transitive). Equal numbers tie-break on their text; `values` is
         # a set, so leaving them tied would make the order hash-seed dependent.
-        if all(_INT_RE.match(v) for v in values):
-            decode = sorted(values, key=lambda v: (int(v), v))
-        else:
-            decode = sorted(values, key=lambda v: v.encode("utf-8"))
-        encode = {v: i for i, v in enumerate(decode)}
+        # The stable sort by `int` over the text order is the key (int(v), v);
+        # `str` order is code-point order, which UTF-8 byte order preserves.
+        decode = sorted(values)
+        if all(map(_INT_RE.match, decode)):
+            decode.sort(key=int)
+        encode = dict(zip(decode, range(len(decode))))
+        lookup = encode.__getitem__
         relations = {}
         for t in tables:
-            rows = tuple(tuple(encode[v] for v in row) for row in t.rows)
+            # Every row has len(t.columns) values, so zipping one iterator
+            # over the encoded values with itself regroups them into rows.
+            ids = map(lookup, chain.from_iterable(t.rows))
+            rows = tuple(zip(*[ids] * len(t.columns))) if t.columns else t.rows
             weights = None
             if t.weights is not None:
-                weights = {row: w for row, w in zip(rows, t.weights)}
+                weights = dict(zip(rows, t.weights))
             relations[t.name] = Relation(t.name, t.columns, rows, weights)
         vw = None
         if vertex_weights:
@@ -245,8 +279,11 @@ def semijoin(left: Relation, right: Relation, on: Sequence[str]) -> Relation:
     lpos = [left.schema.index(c) for c in on]
     rpos = [right.schema.index(c) for c in on]
     keys = right.project_positions(rpos)
-    rows = tuple(r for r in left.rows if tuple(r[p] for p in lpos) in keys)
+    found = map(keys.__contains__, map(row_getter(lpos), left.rows))
+    rows = tuple(compress(left.rows, found))
+    if len(rows) == len(left.rows):
+        return left
     weights = None
     if left.weights is not None:
-        weights = {r: left.weights[r] for r in rows}
+        weights = dict(zip(rows, map(left.weights.__getitem__, rows)))
     return Relation(left.name, left.schema, rows, weights)

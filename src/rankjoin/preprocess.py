@@ -1,22 +1,30 @@
 """Preprocessing: materialize bags, run the full reducer, build the queues.
 
 After this pass every node holds, per key valuation, a min-heap of cells.
-A cell ⟨bag valuation, child cells, pivot, next⟩ stands for one whole
-subtree valuation: its partial score is the node's own contribution combined
-with the scores of the referenced child cells, and its tie key is the subtree
-valuation itself (in the global variable order), which makes the heap order a
-strict total order and enumeration deterministic. Cells sit in their queue
-directly and refer to their child cells, so a cell nothing references any
-more (a consumed root cell, say) is freed.
+A cell ⟨bag valuation, node score, child cells, pivot, next⟩ stands for one
+whole subtree valuation: its partial score is the node's own contribution
+(the node score, computed once per bag valuation by `ScoreModel.node_score`
+and carried over to every sibling) combined with the scores of the referenced
+child cells, and its tie key is the subtree valuation itself (in the global
+variable order), which makes the heap order a strict total order and
+enumeration deterministic. Cells sit in their queue directly and refer to
+their child cells, so a cell nothing references any more (a consumed root
+cell, say) is freed.
+
+Row work is compiled per node: queue keys and child-queue keys are getters
+over the bag valuation (`data.row_getter`), and a node whose subtree is its
+own bag uses the valuation itself as the tie key.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .data import Database, Relation, semijoin
+from .data import Database, Relation, row_getter, semijoin
 from .decomposition import (
     TreeDecomposition,
     augment_for_bounded,
@@ -27,6 +35,8 @@ from .query import ConjunctiveQuery
 from .ranking import RankingFunction, ScoreModel, check_compatible
 
 UNSET = object()  # distinguishes "next never computed" from "no successor"
+
+Row = Tuple[int, ...]  # a bag valuation or a key: constant ids
 
 
 @dataclass
@@ -41,15 +51,20 @@ class Counters:
 
 
 class Cell:
-    # `pivot`: the lowest child index this cell may still advance (Lawler's
-    # partition; the rule is described in cursor.py). `next`: the successor
-    # cell in this cell's queue once computed, None when there is none.
+    # `node_score`: the node's own contribution for `valuation`; `score`
+    # combines it with the child cells' scores. `pivot`: the lowest child
+    # index this cell may still advance (Lawler's partition; the rule is
+    # described in cursor.py). `next`: the successor cell in this cell's queue
+    # once computed, None when there is none.
     __slots__ = (
-        "valuation", "child_cells", "score", "tie", "pivot", "next", "counters"
+        "valuation", "node_score", "child_cells", "score", "tie", "pivot",
+        "next", "counters",
     )
 
-    def __init__(self, valuation, child_cells, score, tie, pivot, counters):
+    def __init__(self, valuation, node_score, child_cells, score, tie, pivot,
+                 counters):
         self.valuation = valuation
+        self.node_score = node_score
         self.child_cells = child_cells
         self.score = score
         self.tie = tie
@@ -67,20 +82,32 @@ class Cell:
 @dataclass
 class NodeState:
     key_positions: Tuple[int, ...]
-    child_key_positions: Tuple[Tuple[int, ...], ...]
-    # Each slot of the subtree valuation comes either from this bag
-    # ("o", bag position) or from one child's tie ("c", child index, position).
-    tie_recipe: Tuple[Tuple, ...]
-    queues: Dict[Tuple[int, ...], List[Cell]] = field(default_factory=dict)
+    # Compiled once per node: the queue key of a bag valuation, the key of
+    # the queue it joins at each child, and its tie from the child cells.
+    key: Callable[[Row], Row]
+    child_keys: Tuple[Callable[[Row], Row], ...]
+    make_tie: Callable[[Row, Tuple[Cell, ...]], Row]
+    queues: Dict[Row, List[Cell]] = field(default_factory=dict)
 
-    def make_tie(self, valuation, child_cells) -> Tuple[int, ...]:
+
+def _tie_maker(recipe: Sequence[Tuple]) -> Callable[[Row, Tuple[Cell, ...]], Row]:
+    """The function forming a cell's tie, its subtree valuation in head order.
+    Each slot comes either from this bag ("o", bag position) or from one
+    child's tie ("c", child index, position)."""
+    if all(src[0] == "o" for src in recipe):
+        # The subtree is the bag, and var_order already is the head order.
+        return lambda valuation, child_cells: valuation
+
+    def make_tie(valuation, child_cells):
         out = []
-        for src in self.tie_recipe:
+        for src in recipe:
             if src[0] == "o":
                 out.append(valuation[src[1]])
             else:
                 out.append(child_cells[src[1]].tie[src[2]])
         return tuple(out)
+
+    return make_tie
 
 
 def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
@@ -91,7 +118,7 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
     child_subtrees = []
     for c in node.children:
         child = d.nodes[c]
-        child_keys.append(tuple(order[v] for v in child.key_vars))
+        child_keys.append(row_getter([order[v] for v in child.key_vars]))
         child_subtrees.append(
             tuple(sorted(child.subtree_vars, key=head_pos.__getitem__))
         )
@@ -108,10 +135,12 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
                 raise EngineInvariantError(
                     f"node {nid}: variable {v} in no child subtree"
                 )
+    key_positions = tuple(order[v] for v in node.key_vars)
     return NodeState(
-        key_positions=tuple(order[v] for v in node.key_vars),
-        child_key_positions=tuple(child_keys),
-        tie_recipe=tuple(recipe),
+        key_positions=key_positions,
+        key=row_getter(key_positions),
+        child_keys=tuple(child_keys),
+        make_tie=_tie_maker(tuple(recipe)),
     )
 
 
@@ -122,18 +151,18 @@ def _hash_join(
     rows_b: Sequence[Tuple[int, ...]],
 ) -> Tuple[List[str], List[Tuple[int, ...]]]:
     shared = [v for v in schema_a if v in schema_b]
-    pa = [schema_a.index(v) for v in shared]
-    pb = [schema_b.index(v) for v in shared]
+    key_a = row_getter([schema_a.index(v) for v in shared])
+    key_b = row_getter([schema_b.index(v) for v in shared])
     rest = [i for i, v in enumerate(schema_b) if v not in schema_a]
-    index: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-    for r in rows_b:
-        index.setdefault(tuple(r[p] for p in pb), []).append(
-            tuple(r[i] for i in rest)
-        )
+    tail_b = row_getter(rest)
+    index: Dict[Row, List[Row]] = defaultdict(list)
+    for k, tail in zip(map(key_b, rows_b), map(tail_b, rows_b)):
+        index[k].append(tail)
     out_schema = schema_a + [schema_b[i] for i in rest]
     out_rows = []
-    for r in rows_a:
-        for tail in index.get(tuple(r[p] for p in pa), ()):
+    lookup = index.get
+    for r, k in zip(rows_a, map(key_a, rows_a)):
+        for tail in lookup(k, ()):
             out_rows.append(r + tail)
     return out_schema, out_rows
 
@@ -160,15 +189,18 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
                     schema, rows, list(atom.variables), list(rel.rows)
                 )
         positions = [schema.index(v) for v in node.var_order]
-        bag_rows = {tuple(r[p] for p in positions) for r in rows}
+        if positions == list(range(len(schema))):
+            bag_rows = set(rows)
+        else:
+            bag_rows = set(map(row_getter(positions), rows))
         order = {v: i for i, v in enumerate(node.var_order)}
         for ai, owner in d.atom_assignment.items():
             if owner != nid or ai in node.cover:
                 continue
             atom = q.atoms[ai]
             keep = set(db.relation(atom.relation).rows)
-            pos = [order[v] for v in atom.variables]
-            bag_rows = {r for r in bag_rows if tuple(r[p] for p in pos) in keep}
+            atom_row = row_getter([order[v] for v in atom.variables])
+            bag_rows = {r for r in bag_rows if atom_row(r) in keep}
         out[nid] = Relation(f"bag{nid}", node.var_order, tuple(sorted(bag_rows)))
     return out
 
@@ -201,6 +233,7 @@ class PreparedQuery:
         states: Dict[int, NodeState],
         counters: Counters,
         initial_cells: int,
+        setup_stats: Dict[str, float],
     ):
         self.db = db
         self.query = query
@@ -209,6 +242,9 @@ class PreparedQuery:
         self.states = states
         self.counters = counters
         self.initial_cells = initial_cells
+        # Seconds per preprocessing phase and bag rows before/after the
+        # full reducer, keyed as `rankjoin bench` prints them.
+        self.setup_stats = setup_stats
         self._claimed = False
 
     def claim(self) -> None:
@@ -226,22 +262,23 @@ class PreparedQuery:
 
 def new_cell(
     state: NodeState,
-    nid: int,
     model: ScoreModel,
     counters: Counters,
-    valuation: Tuple[int, ...],
+    valuation: Row,
+    node_score,
     child_cells: Tuple[Cell, ...],
     pivot: int,
 ) -> Cell:
-    """Make the cell for `valuation` over the given child cells; the caller
-    puts it into the node's queue and counts the insert. The only place a
-    cell's score and tie are formed."""
-    score = model.node_score(nid, valuation)
+    """Make the cell for `valuation`, whose own score at its node is
+    `node_score`, over the given child cells; the caller puts it into the
+    node's queue and counts the insert. The only place a cell's score and tie
+    are formed."""
+    score = node_score
     for cc in child_cells:
         score = model.combine(score, cc.score)
     tie = state.make_tie(valuation, child_cells)
     counters.cells += 1
-    return Cell(valuation, child_cells, score, tie, pivot, counters)
+    return Cell(valuation, node_score, child_cells, score, tie, pivot, counters)
 
 
 def initialize_queues(
@@ -251,26 +288,30 @@ def initialize_queues(
     counters: Counters,
 ) -> Dict[int, NodeState]:
     states: Dict[int, NodeState] = {}
+    node_score = model.node_score
     for nid in d.post_order():
-        node = d.nodes[nid]
         state = _node_state(d, nid)
         states[nid] = state
-        per_key: Dict[Tuple[int, ...], List[Cell]] = {}
+        joins = [
+            (c, states[c].queues.get, child_key)
+            for c, child_key in zip(d.nodes[nid].children, state.child_keys)
+        ]
+        key_of = state.key
+        per_key: Dict[Row, List[Cell]] = defaultdict(list)
         for theta in reduced[nid].rows:
             child_cells = []
-            for i, c in enumerate(node.children):
-                ckey = tuple(theta[p] for p in state.child_key_positions[i])
-                heap = states[c].queues.get(ckey)
+            for c, child_queue, child_key in joins:
+                heap = child_queue(child_key(theta))
                 if not heap:
                     raise EngineInvariantError(
                         f"node {nid}: reduced tuple {theta} has no matching "
                         f"cell at child {c} (full reducer should prevent this)"
                     )
                 child_cells.append(heap[0])
-            key = tuple(theta[p] for p in state.key_positions)
-            per_key.setdefault(key, []).append(
-                new_cell(state, nid, model, counters, theta, tuple(child_cells), 0)
-            )
+            per_key[key_of(theta)].append(new_cell(
+                state, model, counters, theta, node_score(nid, theta),
+                tuple(child_cells), 0,
+            ))
         for key, cells in per_key.items():
             counters.inserts += len(cells)
             heapq.heapify(cells)
@@ -295,6 +336,20 @@ def prepare(
         raise IncompatibleRankingError(report.reason)
     model = ScoreModel(rf, db, query, d)
     counters = Counters()
-    reduced = full_reducer(materialize_bags(db, d), d)
+    t0 = time.perf_counter()
+    bags = materialize_bags(db, d)
+    t1 = time.perf_counter()
+    reduced = full_reducer(bags, d)
+    t2 = time.perf_counter()
     states = initialize_queues(reduced, d, model, counters)
-    return PreparedQuery(db, query, d, model, states, counters, counters.cells)
+    t3 = time.perf_counter()
+    setup_stats = {
+        "materialize_seconds": t1 - t0,
+        "reduce_seconds": t2 - t1,
+        "init_queues_seconds": t3 - t2,
+        "bag_rows_in": sum(len(b.rows) for b in bags.values()),
+        "bag_rows_out": sum(len(b.rows) for b in reduced.values()),
+    }
+    return PreparedQuery(
+        db, query, d, model, states, counters, counters.cells, setup_stats
+    )

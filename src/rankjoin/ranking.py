@@ -8,6 +8,11 @@ weighted-sum encoding, which sidesteps overflow when picking the positional
 weights. Bounded rankings charge the whole score at the root; after bag
 augmentation the determining variables sit inside every key, so all non-root
 partial scores are equal and any queue order there is sound.
+
+`ScoreModel` compiles one scorer per decomposition node when it is built: a
+closure over the node's weight maps and bag positions, so scoring a bag row
+dispatches on nothing. `ScoreModel.node_score` is the entry point that runs
+them; `direct_score` stays a separate, definition-level path for the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .data import INT64_MAX, INT64_MIN, Database
+from .data import INT64_MAX, INT64_MIN, Database, row_getter
 from .decomposition import TreeDecomposition
 from .errors import ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
@@ -186,8 +191,11 @@ def _bounded_value(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
 
 
 class ScoreModel:
-    """Binds a ranking function to one query/decomposition/database and
-    exposes the per-node scoring recipes the engine needs."""
+    """Binds a ranking function to one query/decomposition/database.
+
+    At construction it compiles one scorer per node: a closure over that
+    node's weight maps and bag positions. `node_score` is the entry point
+    that runs them."""
 
     def __init__(
         self,
@@ -203,9 +211,7 @@ class ScoreModel:
         self.identity = rf.monoid.identity
         self.combine = rf.monoid.combine
         self._validate()
-        self._recipes: Dict[int, object] = {}
-        for nid, node in d.nodes.items():
-            self._recipes[nid] = self._build_recipe(nid, node)
+        self._scorers = {nid: self._compile(nid, node) for nid, node in d.nodes.items()}
 
     def _validate(self) -> None:
         rf, q = self.rf, self.query
@@ -257,60 +263,77 @@ class ScoreModel:
                     f"{self.db.vertex_weight(bad[0])}"
                 )
 
-    def _build_recipe(self, nid: int, node) -> object:
-        rf, d = self.rf, self.decomposition
+    def _compile(self, nid: int, node) -> Callable[[Tuple[int, ...]], object]:
+        """The node's own-score function over its bag valuations. Weight maps,
+        bag positions and the monoid are bound once here, so scoring a row
+        runs no dispatch."""
+        rf, d, db = self.rf, self.decomposition, self.db
         order = {v: i for i, v in enumerate(node.var_order)}
         if rf.kind == "tuple":
-            atoms = []
-            for ai, owner in d.atom_assignment.items():
-                if owner != nid:
-                    continue
-                atom = self.query.atoms[ai]
-                atoms.append(
-                    (atom.relation, tuple(order[v] for v in atom.variables))
-                )
-            return ("tuple", tuple(atoms))
+            return self._fold([
+                _weight_lookup(db, self.query.atoms[ai], order)
+                for ai, owner in d.atom_assignment.items()
+                if owner == nid
+            ])
         if rf.kind == "vertex":
-            return ("vertex", tuple(order[v] for v in node.val_vars))
+            return self._fold([_vertex_lookup(db, order[v]) for v in node.val_vars])
         if rf.kind == "lex":
             lex_pos = {v: i for i, v in enumerate(rf.lex_order)}
             pairs = sorted(
                 (lex_pos[v], order[v]) for v in node.val_vars if v in lex_pos
             )
-            return ("lex", tuple(pairs))
+            ranks = tuple(lp for lp, _ in pairs)
+            values = row_getter([p for _, p in pairs])
+            return lambda valuation: tuple(zip(ranks, values(valuation)))
         # bounded: full value at the root, identity elsewhere
+        identity = self.identity
         if nid != d.root:
-            return ("identity",)
-        positions = {v: order[v] for v in rf.bound_vars if v in order}
-        if len(positions) != len(rf.bound_vars):
-            missing = sorted(rf.bound_vars - set(positions))
+            return lambda valuation: identity
+        missing = sorted(rf.bound_vars - set(order))
+        if missing:
             raise SchemaError(
                 f"bounded ranking variables {missing} not in the root bag; "
                 f"augment the decomposition first"
             )
-        return ("bounded", positions)
+        # The same terms, in the same order, as `_bounded_value`.
+        if rf.inner_kind == "tuple":
+            return self._fold([
+                _weight_lookup(db, atom, order)
+                for atom in self.query.atoms
+                if set(atom.variables) <= rf.bound_vars
+            ])
+        return self._fold([_vertex_lookup(db, order[v]) for v in sorted(rf.bound_vars)])
+
+    def _fold(self, terms: List[Callable]) -> Callable[[Tuple[int, ...]], object]:
+        """Combine the terms' values into the identity, left to right."""
+        identity, combine = self.identity, self.combine
+
+        def score(valuation):
+            acc = identity
+            for term in terms:
+                acc = combine(acc, term(valuation))
+            return acc
+
+        return score
 
     def node_score(self, nid: int, valuation: Tuple[int, ...]):
-        recipe = self._recipes[nid]
-        tag = recipe[0]
-        if tag == "tuple":
-            acc = self.identity
-            for rel_name, positions in recipe[1]:
-                rel = self.db.relations[rel_name]
-                acc = self.combine(acc, rel.weight_of(tuple(valuation[p] for p in positions)))
-            return acc
-        if tag == "vertex":
-            acc = self.identity
-            for p in recipe[1]:
-                acc = self.combine(acc, self.db.vertex_weight(valuation[p]))
-            return acc
-        if tag == "lex":
-            return tuple((lp, valuation[p]) for lp, p in recipe[1])
-        if tag == "identity":
-            return self.identity
-        # bounded at the root
-        binding = {v: valuation[p] for v, p in recipe[1].items()}
-        return _bounded_value(self.rf, self.db, self.query, binding)
+        """Node `nid`'s own contribution for one of its bag valuations: the one
+        place a node score is computed."""
+        return self._scorers[nid](valuation)
+
+
+def _weight_lookup(db: Database, atom, order: Dict[str, int]) -> Callable:
+    """A bag valuation's weight in `atom`'s relation (0 for tuples outside it,
+    as `Relation.weight_of`)."""
+    get = (db.relation(atom.relation).weights or {}).get
+    row = row_getter([order[v] for v in atom.variables])
+    return lambda valuation: get(row(valuation), 0)
+
+
+def _vertex_lookup(db: Database, position: int) -> Callable:
+    """The vertex weight of the constant at one bag position."""
+    get = db.vertex_weights.get
+    return lambda valuation: get(valuation[position], 0)
 
 
 def probe_decomposable(

@@ -140,6 +140,28 @@ def test_bench_metrics(workspace, capsys):
     assert "preprocess_seconds" in metrics
 
 
+def test_bench_reports_each_setup_phase(workspace, capsys):
+    assert main(["bench", *_base_args(workspace)]) == 0
+    out = capsys.readouterr().out
+    metrics = dict(line.split("=", 1) for line in out.strip().splitlines())
+    seconds = ["load_seconds", "encode_seconds", "materialize_seconds",
+               "reduce_seconds", "init_queues_seconds", "preprocess_seconds",
+               "enumerate_seconds"]
+    assert list(metrics) == [
+        "load_seconds", "encode_seconds", "materialize_seconds",
+        "reduce_seconds", "init_queues_seconds", "bag_rows_in", "bag_rows_out",
+        "preprocess_seconds", "enumerate_seconds", "pulls", "cells_initial",
+        "cells_total", "cells_created_enum",
+        "max_inserts_per_pull", "median_inserts_per_pull",
+        "max_pops_per_pull", "median_pops_per_pull",
+        "max_comparisons_per_pull", "median_comparisons_per_pull",
+    ]
+    assert all(float(metrics[key]) >= 0 for key in seconds)
+    # The running example's bags are its four relations, two rows each, and
+    # the reducer removes the dangling R2 row (3, 1).
+    assert (int(metrics["bag_rows_in"]), int(metrics["bag_rows_out"])) == (8, 7)
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "gen"
     assert main(["gen", "threepath", "--n", "5", "--out", str(out_dir)]) == 0

@@ -108,13 +108,14 @@ class TestInvariants:
             calls.append(args)
             return insert(self, *args)
 
-        # Every cell made is kept alive here, so no two share an id().
+        # Every cell made is kept alive here, so no two share an id(); cells
+        # are grouped by node through their node's state.
         made_at = {}
         make = preprocess.new_cell
 
-        def recorded(state, nid, *args):
-            cell = make(state, nid, *args)
-            made_at.setdefault(nid, []).append(cell)
+        def recorded(state, *args):
+            cell = make(state, *args)
+            made_at.setdefault(id(state), []).append(cell)
             return cell
 
         monkeypatch.setattr(RankedCursor, "_insert", counted)

@@ -1,8 +1,10 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankjoin
 from rankjoin import (
@@ -71,6 +73,23 @@ class TestLoadCsv:
         assert load_csv(path, "R") == load_csv(path, "R")
 
 
+class TestTableFromRows:
+    """In-memory tables are checked the way `load_csv` checks a file."""
+
+    def test_extra_weights_rejected(self):
+        with pytest.raises(IngestError, match="3 weights for 2 rows"):
+            Table.from_rows("R", ("x",), [("1",), ("2",)], weights=[5, 6, 7])
+
+    def test_missing_weights_rejected(self):
+        with pytest.raises(IngestError, match="1 weights for 2 rows"):
+            Table.from_rows("R", ("x",), [("1",), ("2",)], weights=[5])
+
+    @pytest.mark.parametrize("row", [("1",), ("2", "3", "4")])
+    def test_row_of_wrong_width_rejected(self, row):
+        with pytest.raises(IngestError, match="columns"):
+            Table.from_rows("R", ("x", "y"), [("0", "0"), row])
+
+
 class TestVertexWeights:
     def test_parse(self, tmp_path):
         path = _write(tmp_path, "vw.csv", "a,3\nb,5\n")
@@ -112,6 +131,27 @@ class TestDatabase:
             )
             orders.add(run.stdout.strip())
         assert orders == {"+7,007,07,7,08,8"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.sets(
+        st.one_of(
+            st.sampled_from(["7", "07", "+7", "-0", "0", "+0", "-7", "-07", "10"]),
+            st.integers(-(10**20), 10**20).map(str),
+            st.text(min_size=1, max_size=4),
+        ),
+        max_size=12,
+    ))
+    def test_constant_order_matches_its_definition(self, values):
+        """Ids follow (int(v), v) on all-integer domains and UTF-8 bytes
+        otherwise, whatever mix of literals, signs and text the domain has."""
+        values = sorted(values)
+        db = Database.build([Table.from_rows("R", ("x",), [(v,) for v in values])])
+        if all(re.match(r"^[+-]?\d+$", v) for v in values):
+            want = sorted(values, key=lambda v: (int(v), v))
+        else:
+            want = sorted(values, key=lambda v: v.encode("utf-8"))
+        assert [db.decode(i) for i in range(len(values))] == want
+        assert [db.encode(v) for v in want] == list(range(len(values)))
 
     def test_mixed_domain_is_bytewise(self):
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("a",)])
