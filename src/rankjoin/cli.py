@@ -279,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t3 = pc()
     prepared = prepare(db, uq.disjuncts[0], rf, decomp)
     t4 = pc()
-    cursor = RankedCursor(prepared)
+    cursor = RankedCursor(prepared, stats=True)
     results = cursor.drain_topk(job.k) if job.k is not None else cursor.drain()
     t5 = pc()
     stats = cursor.pull_stats

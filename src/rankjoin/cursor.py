@@ -1,8 +1,8 @@
 """Pull-based ranked enumeration over a PreparedQuery.
 
-Each pull emits the root queue's top, then walks top-down through the cells
-that produced it: every visited node pops its consumed cell, inserts one
-sibling per child at or after the cell's pivot by replacing that child's cell
+Each pull emits the root queue's top, then walks top-down through the entries
+that produced it: every visited node pops its consumed entry, inserts one
+sibling per child at or after the cell's pivot by replacing that child's entry
 with its successor, and (except at the root) memoizes its successor in the
 cell's `next` slot. Memoized nodes short-circuit on later visits — that is
 what keeps per-pull work proportional to the tree size rather than the
@@ -11,29 +11,87 @@ subtree result size.
 The pivot rule is Lawler's partition (Lawler, "A procedure for computing the
 K best solutions to discrete optimization problems and its application to the
 shortest path problem", Management Science, 1972): the sibling made by
-advancing child i gets pivot i, so every combination of child cells has
+advancing child i gets pivot i, so every combination of child entries has
 exactly one parent cell and is generated exactly once. Every accepted ranking
-is monotone in each child's (score, tie), so a cell never ranks before its
+is monotone in each child's (score, tie), so an entry never ranks before its
 parent, and each queue's top is still its best combination not yet consumed.
+
+Queue entries are (score, tie, cell) tuples (preprocess.py). The tie is the
+subtree valuation, unique within a queue, so `heapq` orders entries in C by
+(score, tie) and never reaches the cell. A cursor built with stats=True uses
+`counted_heap` instead, which makes the same comparisons and counts them, and
+records per-pull counter deltas in `pull_stats`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, List, Optional, Tuple
 
 from .errors import EngineInvariantError
-from .preprocess import UNSET, Cell, PreparedQuery, new_cell
+from .preprocess import UNSET, Counters, Entry, PreparedQuery, new_cell
 from .result import OutputTuple
 
 
+def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
+    """A heappush/heappop pair that follows CPython's `heapq` sift algorithm
+    and adds each `<` it makes to `counters.comparisons`."""
+
+    def sift_down(heap, pos):
+        # Move heap[pos] toward the root past every larger parent.
+        item = heap[pos]
+        while pos:
+            parent_pos = (pos - 1) >> 1
+            parent = heap[parent_pos]
+            counters.comparisons += 1
+            if not item < parent:
+                break
+            heap[pos] = parent
+            pos = parent_pos
+        heap[pos] = item
+
+    def push(heap, item):
+        heap.append(item)
+        sift_down(heap, len(heap) - 1)
+
+    def pop(heap):
+        last = heap.pop()
+        if not heap:
+            return last
+        top = heap[0]
+        # Move the smaller child up until a leaf, put `last` there, then
+        # sift it back toward the root.
+        end = len(heap)
+        pos, child = 0, 1
+        while child < end:
+            right = child + 1
+            if right < end:
+                counters.comparisons += 1
+                if not heap[child] < heap[right]:
+                    child = right
+            heap[pos] = heap[child]
+            pos, child = child, 2 * child + 1
+        heap[pos] = last
+        sift_down(heap, pos)
+        return top
+
+    return push, pop
+
+
 class RankedCursor:
-    def __init__(self, prepared: PreparedQuery):
+    def __init__(self, prepared: PreparedQuery, stats: bool = False):
         prepared.claim()
         self.prepared = prepared
         self.emitted_count = 0
-        # Per-pull deltas of (inserts, pops, comparisons, cells).
+        # With stats=True: per-pull deltas of (inserts, pops, comparisons,
+        # cells). Without, it stays empty and comparisons are not counted.
+        self.stats = stats
         self.pull_stats: List[Tuple[int, int, int, int]] = []
+        if stats:
+            self._push, self._pop = counted_heap(prepared.counters)
+        else:
+            self._push, self._pop = heapq.heappush, heapq.heappop
         # Under max, a strict score gap between two subtree valuations can
         # collapse to a tie higher up, so no per-queue tie order alone can
         # deliver equal-score outputs sorted by value. Scores still arrive
@@ -56,13 +114,10 @@ class RankedCursor:
             if first is None:
                 return None
             run = [first]
-            while True:
-                state = self.prepared.root_state
-                heap = state.queues.get(())
-                if not heap or heap[0].score != first.score:
-                    break
+            heap = self.prepared.root_state.queues.get(())
+            while heap and heap[0][0] == first.score:
                 run.append(self._engine_next())
-            run.sort(key=lambda t: t.values)
+            run.sort(key=attrgetter("values"))
             run.reverse()  # emit by popping from the tail
             self._run = run
         self.emitted_count += 1
@@ -71,38 +126,41 @@ class RankedCursor:
     def _engine_next(self) -> Optional[OutputTuple]:
         p = self.prepared
         root = p.decomposition.root
-        state = p.states[root]
-        heap = state.queues.get(())
+        heap = p.states[root].queues.get(())
         if not heap:
             return None
-        before = p.counters.snapshot()
-        cell = heap[0]
-        out = OutputTuple(values=cell.tie, score=cell.score)
-        self._topdown(root, cell)
-        after = p.counters.snapshot()
-        self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
-        return out
+        entry = heap[0]
+        if self.stats:
+            before = p.counters.snapshot()
+            self._topdown(root, entry)
+            after = p.counters.snapshot()
+            self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
+        else:
+            self._topdown(root, entry)
+        return OutputTuple(values=entry[1], score=entry[0])
 
-    def _topdown(self, nid: int, cell: Cell):
-        p = self.prepared
-        state = p.states[nid]
+    def _topdown(self, nid: int, entry: Entry) -> Optional[Entry]:
+        cell = entry[2]
         if cell.next is not UNSET:
             return cell.next
+        p = self.prepared
+        state = p.states[nid]
         key = state.key(cell.valuation)
         heap = state.queues.get(key)
-        if not heap or heap[0] is not cell:
+        if not heap or heap[0] is not entry:
             raise EngineInvariantError(
                 f"node {nid}: consumed cell is not the top of its queue"
             )
-        heapq.heappop(heap)
+        self._pop(heap)
         p.counters.pops += 1
         children = p.decomposition.nodes[nid].children
-        # Children below the pivot hold cells that this cell's Lawler
+        child_entries = cell.child_entries
+        # Children below the pivot hold entries that this cell's Lawler
         # ancestors already consumed, so their successors are memoized.
         for i in range(cell.pivot, len(children)):
-            succ = self._topdown(children[i], cell.child_cells[i])
+            succ = self._topdown(children[i], child_entries[i])
             if succ is not None:
-                sibling = cell.child_cells[:i] + (succ,) + cell.child_cells[i + 1 :]
+                sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
                 self._insert(nid, key, cell.valuation, cell.node_score, sibling, i)
         if nid == p.decomposition.root:
             # Root cells are never chained; consumed ones are simply dropped.
@@ -110,13 +168,13 @@ class RankedCursor:
         cell.next = heap[0] if heap else None
         return cell.next
 
-    def _insert(self, nid, key, valuation, node_score, child_cells, pivot) -> None:
+    def _insert(self, nid, key, valuation, node_score, child_entries, pivot) -> None:
         p = self.prepared
         state = p.states[nid]
-        cell = new_cell(
-            state, p.model, p.counters, valuation, node_score, child_cells, pivot
+        entry = new_cell(
+            state, p.model, p.counters, valuation, node_score, child_entries, pivot
         )
-        heapq.heappush(state.queues[key], cell)
+        self._push(state.queues[key], entry)
         p.counters.inserts += 1
 
     def drain_topk(self, k: int) -> List[OutputTuple]:

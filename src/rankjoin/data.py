@@ -212,7 +212,8 @@ class Database:
         vertex_weights: Optional[Dict[int, int]] = None,
     ):
         self.relations = dict(relations)
-        self._decode = tuple(decode_list)
+        # The decode table: constant id -> its text.
+        self.constants = tuple(decode_list)
         self._encode = dict(encode_map)
         self.vertex_weights = dict(vertex_weights) if vertex_weights else {}
 
@@ -260,7 +261,7 @@ class Database:
         return self.relations[name]
 
     def decode(self, cid: int) -> str:
-        return self._decode[cid]
+        return self.constants[cid]
 
     def encode(self, value: str) -> int:
         return self._encode[value]

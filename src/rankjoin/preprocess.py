@@ -1,19 +1,22 @@
 """Preprocessing: materialize bags, run the full reducer, build the queues.
 
-After this pass every node holds, per key valuation, a min-heap of cells.
-A cell ⟨bag valuation, node score, child cells, pivot, next⟩ stands for one
-whole subtree valuation: its partial score is the node's own contribution
-(the node score, computed once per bag valuation by `ScoreModel.node_score`
-and carried over to every sibling) combined with the scores of the referenced
-child cells, and its tie key is the subtree valuation itself (in the global
-variable order), which makes the heap order a strict total order and
-enumeration deterministic. Cells sit in their queue directly and refer to
-their child cells, so a cell nothing references any more (a consumed root
-cell, say) is freed.
+After this pass every node holds, per key valuation, a min-heap of queue
+entries. An entry is the plain tuple (score, tie, cell) and stands for one
+whole subtree valuation. Its score is the node's own contribution (the node
+score, computed once per bag valuation by `ScoreModel.node_score` and carried
+over to every sibling) combined with the scores of the referenced child
+entries. Its tie is the subtree valuation itself (in the global variable
+order). Ties are unique within a queue: two entries of one queue hold two
+different subtree valuations, because Lawler's pivot rule (cursor.py) makes
+each combination of child entries once. So entries order as tuples, in C, by
+(score, tie), and the `Cell` is never compared; it has no ordering, so a
+duplicate tie would raise `TypeError` instead of being ordered silently.
+Entries sit in their queue directly and refer to their child entries, so an
+entry nothing references any more (a consumed root entry, say) is freed.
 
 Row work is compiled per node: queue keys and child-queue keys are getters
 over the bag valuation (`data.row_getter`), and a node whose subtree is its
-own bag uses the valuation itself as the tie key.
+own bag uses the valuation itself as the tie.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ Row = Tuple[int, ...]  # a bag valuation or a key: constant ids
 
 @dataclass
 class Counters:
+    # `comparisons` grows only under a cursor built with stats=True, whose
+    # heap functions count each `<`; the others are always counted.
     inserts: int = 0
     pops: int = 0
     comparisons: int = 0
@@ -51,60 +56,51 @@ class Counters:
 
 
 class Cell:
-    # `node_score`: the node's own contribution for `valuation`; `score`
-    # combines it with the child cells' scores. `pivot`: the lowest child
-    # index this cell may still advance (Lawler's partition; the rule is
-    # described in cursor.py). `next`: the successor cell in this cell's queue
-    # once computed, None when there is none.
-    __slots__ = (
-        "valuation", "node_score", "child_cells", "score", "tie", "pivot",
-        "next", "counters",
-    )
+    # The unordered part of a queue entry (score, tie, cell). `node_score`:
+    # the node's own contribution for `valuation`. `child_entries`: one entry
+    # per child node. `pivot`: the lowest child index this cell may still
+    # advance (Lawler's partition; the rule is described in cursor.py).
+    # `next`: the successor entry in this cell's queue once computed, None
+    # when there is none.
+    __slots__ = ("valuation", "node_score", "child_entries", "pivot", "next")
 
-    def __init__(self, valuation, node_score, child_cells, score, tie, pivot,
-                 counters):
+    def __init__(self, valuation, node_score, child_entries, pivot):
         self.valuation = valuation
         self.node_score = node_score
-        self.child_cells = child_cells
-        self.score = score
-        self.tie = tie
+        self.child_entries = child_entries
         self.pivot = pivot
         self.next = UNSET
-        self.counters = counters
 
-    def __lt__(self, other: "Cell") -> bool:
-        self.counters.comparisons += 1
-        if self.score != other.score:
-            return self.score < other.score
-        return self.tie < other.tie
+
+Entry = Tuple[object, Row, Cell]  # (score, tie, cell)
 
 
 @dataclass
 class NodeState:
     key_positions: Tuple[int, ...]
     # Compiled once per node: the queue key of a bag valuation, the key of
-    # the queue it joins at each child, and its tie from the child cells.
+    # the queue it joins at each child, and its tie from the child entries.
     key: Callable[[Row], Row]
     child_keys: Tuple[Callable[[Row], Row], ...]
-    make_tie: Callable[[Row, Tuple[Cell, ...]], Row]
-    queues: Dict[Row, List[Cell]] = field(default_factory=dict)
+    make_tie: Callable[[Row, Tuple[Entry, ...]], Row]
+    queues: Dict[Row, List[Entry]] = field(default_factory=dict)
 
 
-def _tie_maker(recipe: Sequence[Tuple]) -> Callable[[Row, Tuple[Cell, ...]], Row]:
-    """The function forming a cell's tie, its subtree valuation in head order.
-    Each slot comes either from this bag ("o", bag position) or from one
-    child's tie ("c", child index, position)."""
+def _tie_maker(recipe: Sequence[Tuple]) -> Callable[[Row, Tuple[Entry, ...]], Row]:
+    """The function forming an entry's tie, its subtree valuation in head
+    order. Each slot comes either from this bag ("o", bag position) or from
+    one child entry's tie ("c", child index, position)."""
     if all(src[0] == "o" for src in recipe):
         # The subtree is the bag, and var_order already is the head order.
-        return lambda valuation, child_cells: valuation
+        return lambda valuation, child_entries: valuation
 
-    def make_tie(valuation, child_cells):
+    def make_tie(valuation, child_entries):
         out = []
         for src in recipe:
             if src[0] == "o":
                 out.append(valuation[src[1]])
             else:
-                out.append(child_cells[src[1]].tie[src[2]])
+                out.append(child_entries[src[1]][1][src[2]])
         return tuple(out)
 
     return make_tie
@@ -266,19 +262,23 @@ def new_cell(
     counters: Counters,
     valuation: Row,
     node_score,
-    child_cells: Tuple[Cell, ...],
+    child_entries: Tuple[Entry, ...],
     pivot: int,
-) -> Cell:
-    """Make the cell for `valuation`, whose own score at its node is
-    `node_score`, over the given child cells; the caller puts it into the
-    node's queue and counts the insert. The only place a cell's score and tie
-    are formed."""
+) -> Entry:
+    """Make the queue entry for `valuation`, whose own score at its node is
+    `node_score`, over the given child entries; the caller puts it into the
+    node's queue and counts the insert. The only place an entry's score and
+    tie are formed."""
     score = node_score
-    for cc in child_cells:
-        score = model.combine(score, cc.score)
-    tie = state.make_tie(valuation, child_cells)
+    combine = model.combine
+    for child in child_entries:
+        score = combine(score, child[0])
     counters.cells += 1
-    return Cell(valuation, node_score, child_cells, score, tie, pivot, counters)
+    return (
+        score,
+        state.make_tie(valuation, child_entries),
+        Cell(valuation, node_score, child_entries, pivot),
+    )
 
 
 def initialize_queues(
@@ -297,9 +297,9 @@ def initialize_queues(
             for c, child_key in zip(d.nodes[nid].children, state.child_keys)
         ]
         key_of = state.key
-        per_key: Dict[Row, List[Cell]] = defaultdict(list)
+        per_key: Dict[Row, List[Entry]] = defaultdict(list)
         for theta in reduced[nid].rows:
-            child_cells = []
+            child_entries = []
             for c, child_queue, child_key in joins:
                 heap = child_queue(child_key(theta))
                 if not heap:
@@ -307,15 +307,15 @@ def initialize_queues(
                         f"node {nid}: reduced tuple {theta} has no matching "
                         f"cell at child {c} (full reducer should prevent this)"
                     )
-                child_cells.append(heap[0])
+                child_entries.append(heap[0])
             per_key[key_of(theta)].append(new_cell(
                 state, model, counters, theta, node_score(nid, theta),
-                tuple(child_cells), 0,
+                tuple(child_entries), 0,
             ))
-        for key, cells in per_key.items():
-            counters.inserts += len(cells)
-            heapq.heapify(cells)
-            state.queues[key] = cells
+        for key, entries in per_key.items():
+            counters.inserts += len(entries)
+            heapq.heapify(entries)
+            state.queues[key] = entries
     return states
 
 

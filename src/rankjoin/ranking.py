@@ -18,6 +18,7 @@ them; `direct_score` stays a separate, definition-level path for the oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -28,14 +29,6 @@ from .errors import ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
 
 MAX_IDENTITY = float("-inf")
-
-
-def _combine_sum(a, b):
-    return a + b
-
-
-def _combine_max(a, b):
-    return a if a >= b else b
 
 
 def _combine_product(a, b):
@@ -53,8 +46,9 @@ class Monoid:
 
 
 MONOIDS = {
-    "sum": Monoid("sum", 0, _combine_sum),
-    "max": Monoid("max", MAX_IDENTITY, _combine_max),
+    # Builtins combine in C; on equal arguments `max` returns the first.
+    "sum": Monoid("sum", 0, operator.add),
+    "max": Monoid("max", MAX_IDENTITY, max),
     "product": Monoid("product", 1, _combine_product),
 }
 

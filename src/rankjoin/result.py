@@ -17,7 +17,7 @@ class OutputTuple:
     score: object
 
     def decoded(self, db: Database) -> Tuple[str, ...]:
-        return tuple(db.decode(c) for c in self.values)
+        return tuple(map(db.constants.__getitem__, self.values))
 
 
 def format_score(rf: RankingFunction, db: Database, score) -> str:
@@ -27,4 +27,5 @@ def format_score(rf: RankingFunction, db: Database, score) -> str:
 
 
 def format_record(rf: RankingFunction, db: Database, out: OutputTuple) -> str:
-    return f"{format_score(rf, db, out.score)}\t{','.join(out.decoded(db))}"
+    values = ",".join(map(db.constants.__getitem__, out.values))
+    return f"{format_score(rf, db, out.score)}\t{values}"

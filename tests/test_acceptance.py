@@ -79,7 +79,7 @@ def corpus():
                 nodes = prepared.decomposition.nodes
                 pops_cap = len(nodes)
                 inserts_cap = sum(len(n.children) for n in nodes.values()) + 1
-                cursor = RankedCursor(prepared)
+                cursor = RankedCursor(prepared, stats=True)
                 got = [format_record(rf, db, r) for r in cursor.drain()]
                 want = oracle_lines(db, uq, rf)
                 bounds_ok = all(
@@ -108,23 +108,23 @@ def test_criterion_1_running_example():
     def queue_scores(nid, key_raw):
         state = p.states[nid]
         key = tuple(db.encode(v) for v in key_raw)
-        return sorted(e.score for e in state.queues.get(key, []))
+        return sorted(score for score, _, _ in state.queues.get(key, []))
 
     assert queue_scores(2, ("1",)) == [1, 4]
     assert queue_scores(3, ("1",)) == [1, 5]
     assert queue_scores(1, ("1",))[0] == 3
     assert queue_scores(0, ()) == [4, 5]
 
-    cell = p.states[1].queues[(db.encode("1"),)][0]
+    entry = p.states[1].queues[(db.encode("1"),)][0]
     cursor = RankedCursor(p)
     results = cursor.drain()
     assert [r.score for r in results[:2]] == [4, 5]
     assert [r.score for r in results] == [4, 5, 7, 8, 8, 9, 11, 12]
 
     chain_scores = []
-    while cell is not None:
-        chain_scores.append(cell.score)
-        cell = None if cell.next is UNSET else cell.next
+    while entry is not None:
+        chain_scores.append(entry[0])
+        entry = None if entry[2].next is UNSET else entry[2].next
     assert chain_scores == [3, 6, 7, 10]
     assert time.perf_counter() - t0 < 1.0
 
@@ -150,7 +150,7 @@ def test_criterion_3_delay():
         db = Database.build(inst.tables)
         cq = parse_query(inst.query_text).disjuncts[0]
         p = prepare(db, cq, parse_ranking(inst.rank_spec))
-        cursor = RankedCursor(p)
+        cursor = RankedCursor(p, stats=True)
         cursor.drain_topk(200)
         max_cmp = max(s[2] for s in cursor.pull_stats)
         constants.append(max_cmp / math.log2(n))

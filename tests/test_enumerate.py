@@ -11,10 +11,10 @@ from rankjoin.preprocess import UNSET
 from helpers import engine_lines, oracle_lines, random_instance, rank_for, running_example
 
 
-def _cursor(rf_spec="tuple_sum"):
+def _cursor(rf_spec="tuple_sum", stats=False):
     db, q = running_example()
     p = prepare(db, q, parse_ranking(rf_spec))
-    return db, q, RankedCursor(p)
+    return db, q, RankedCursor(p, stats=stats)
 
 
 class TestRunningExample:
@@ -39,17 +39,17 @@ class TestRunningExample:
         """After a full drain the middle node's next-chain is the ranked
         materialization of its subtree: scores 3, 6, 7, 10."""
         db, _, cur = _cursor()
-        cell = cur.prepared.states[1].queues[(db.encode("1"),)][0]
+        entry = cur.prepared.states[1].queues[(db.encode("1"),)][0]
         cur.drain()
         scores = []
-        while cell is not None:
-            scores.append(cell.score)
-            cell = None if cell.next is UNSET else cell.next
+        while entry is not None:
+            scores.append(entry[0])
+            entry = None if entry[2].next is UNSET else entry[2].next
         assert scores == [3, 6, 7, 10]
 
     def test_memoized_leaf_visit_costs_nothing(self):
         # second pull reuses the middle node's chain instead of walking down
-        _, _, cur = _cursor()
+        _, _, cur = _cursor(stats=True)
         cur.next()
         pops_first = cur.pull_stats[0][1]
         cur.next()
@@ -91,7 +91,7 @@ class TestInvariants:
         nodes = p.decomposition.nodes
         max_pops = len(nodes)
         max_inserts = sum(len(n.children) for n in nodes.values()) + 1
-        cur = RankedCursor(p)
+        cur = RankedCursor(p, stats=True)
         cur.drain()
         for inserts, pops, _, cells in cur.pull_stats:
             assert pops <= max_pops
@@ -108,15 +108,15 @@ class TestInvariants:
             calls.append(args)
             return insert(self, *args)
 
-        # Every cell made is kept alive here, so no two share an id(); cells
-        # are grouped by node through their node's state.
+        # Every entry made is kept alive here, so no two share an id();
+        # entries are grouped by node through their node's state.
         made_at = {}
         make = preprocess.new_cell
 
         def recorded(state, *args):
-            cell = make(state, *args)
-            made_at.setdefault(id(state), []).append(cell)
-            return cell
+            entry = make(state, *args)
+            made_at.setdefault(id(state), []).append(entry)
+            return entry
 
         monkeypatch.setattr(RankedCursor, "_insert", counted)
         monkeypatch.setattr(preprocess, "new_cell", recorded)
@@ -132,8 +132,11 @@ class TestInvariants:
             p = prepare(db, cq, rf, d)
             RankedCursor(p).drain()
             assert len(calls) == p.counters.cells - p.initial_cells
-            for cells in made_at.values():
-                made = [(c.valuation, tuple(map(id, c.child_cells))) for c in cells]
+            for entries in made_at.values():
+                made = [
+                    (cell.valuation, tuple(map(id, cell.child_entries)))
+                    for _, _, cell in entries
+                ]
                 assert len(made) == len(set(made))
 
     @pytest.mark.parametrize("depth", [1, 2])
@@ -145,10 +148,10 @@ class TestInvariants:
         db, q = running_example()
         p = prepare(db, q, parse_ranking("tuple_sum"))
         nid = p.decomposition.root
-        cell = p.states[nid].queues[()][0]
+        cell = p.states[nid].queues[()][0][2]
         for _ in range(depth):
             nid = p.decomposition.nodes[nid].children[0]
-            cell = cell.child_cells[0]
+            cell = cell.child_entries[0][2]
         state = p.states[nid]
         heap = state.queues[tuple(cell.valuation[i] for i in state.key_positions)]
         heapq.heappop(heap)

@@ -20,7 +20,7 @@ from helpers import RUNNING_QUERY, random_instance, rank_for, running_example
 def _queue_scores(prepared, nid, key_raw):
     state = prepared.states[nid]
     key = tuple(prepared.db.encode(v) for v in key_raw)
-    return sorted(e.score for e in state.queues.get(key, []))
+    return sorted(score for score, _, _ in state.queues.get(key, []))
 
 
 class TestRunningExampleQueues:
@@ -122,7 +122,9 @@ class TestQueueTopMinimal:
         p = prepare(db, cq, rf, d)
 
         def cells_at(nid):
-            return [cell for heap in p.states[nid].queues.values() for cell in heap]
+            return [
+                cell for heap in p.states[nid].queues.values() for _, _, cell in heap
+            ]
 
         def subtree_min(nid, key):
             state = p.states[nid]
@@ -158,7 +160,7 @@ class TestQueueTopMinimal:
 
         for nid, state in p.states.items():
             for key, heap in state.queues.items():
-                assert heap[0].score == subtree_min(nid, key)
+                assert heap[0][0] == subtree_min(nid, key)
 
     def test_shared_prepared_rejected(self):
         db, q = running_example()
