@@ -2,23 +2,24 @@
 
 Each pull emits the root queue's top, then walks top-down through the entries
 that produced it: every visited node pops its consumed entry, inserts one
-sibling per child at or after the cell's pivot by replacing that child's entry
-with its successor, and (except at the root) memoizes its successor in the
-cell's `next` slot. Memoized nodes short-circuit on later visits — that is
-what keeps per-pull work proportional to the tree size rather than the
-subtree result size.
+sibling per child at or after the entry's pivot by replacing that child's
+entry with its successor, and (except at the root) memoizes its successor in
+the node's `succ` dict under the entry's tie, which no other entry of the node
+shares. Memoized entries short-circuit on later visits — that is what keeps
+per-pull work proportional to the tree size rather than the subtree result
+size.
 
 The pivot rule is Lawler's partition (Lawler, "A procedure for computing the
 K best solutions to discrete optimization problems and its application to the
 shortest path problem", Management Science, 1972): the sibling made by
 advancing child i gets pivot i, so every combination of child entries has
-exactly one parent cell and is generated exactly once. Every accepted ranking
+exactly one parent entry and is generated exactly once. Every accepted ranking
 is monotone in each child's (score, tie), so an entry never ranks before its
 parent, and each queue's top is still its best combination not yet consumed.
 
-Queue entries are (score, tie, cell) tuples (preprocess.py). The tie is the
-subtree valuation, unique within a queue, so `heapq` orders entries in C by
-(score, tie) and never reaches the cell. A cursor built with stats=True uses
+Queue entries are flat tuples led by (score, tie) (preprocess.py). The tie is
+the subtree valuation, unique within a node, so `heapq` orders entries in C by
+(score, tie) and never compares further. A cursor built with stats=True uses
 `counted_heap` instead, which makes the same comparisons and counts them, and
 records per-pull counter deltas in `pull_stats`.
 """
@@ -30,8 +31,10 @@ from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 from .errors import EngineInvariantError
-from .preprocess import UNSET, Counters, Entry, PreparedQuery, new_cell
+from .preprocess import Counters, Entry, PreparedQuery, new_cell
 from .result import OutputTuple
+
+UNSET = object()  # a tie missing from `NodeState.succ`, unlike a None successor
 
 
 def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
@@ -79,7 +82,28 @@ def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
     return push, pop
 
 
-class RankedCursor:
+class Cursor:
+    """The drain helpers of every cursor; subclasses define `next()`."""
+
+    def drain_topk(self, k: int) -> List[OutputTuple]:
+        out = []
+        while len(out) < k:
+            item = self.next()
+            if item is None:
+                break
+            out.append(item)
+        return out
+
+    def drain(self) -> List[OutputTuple]:
+        out = []
+        while True:
+            item = self.next()
+            if item is None:
+                return out
+            out.append(item)
+
+
+class RankedCursor(Cursor):
     def __init__(self, prepared: PreparedQuery, stats: bool = False):
         prepared.claim()
         self.prepared = prepared
@@ -137,36 +161,36 @@ class RankedCursor:
             self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
         else:
             self._topdown(root, entry)
-        return OutputTuple(values=entry[1], score=entry[0])
+        return OutputTuple(entry[1], entry[0])
 
     def _topdown(self, nid: int, entry: Entry) -> Optional[Entry]:
-        cell = entry[2]
-        if cell.next is not UNSET:
-            return cell.next
+        _, tie, valuation, node_score, child_entries, pivot = entry
         p = self.prepared
         state = p.states[nid]
-        key = state.key(cell.valuation)
+        succ = state.succ.get(tie, UNSET)
+        if succ is not UNSET:
+            return succ
+        key = state.key(valuation)
         heap = state.queues.get(key)
         if not heap or heap[0] is not entry:
             raise EngineInvariantError(
-                f"node {nid}: consumed cell is not the top of its queue"
+                f"node {nid}: consumed entry is not the top of its queue"
             )
         self._pop(heap)
         p.counters.pops += 1
         children = p.decomposition.nodes[nid].children
-        child_entries = cell.child_entries
-        # Children below the pivot hold entries that this cell's Lawler
+        # Children below the pivot hold entries that this entry's Lawler
         # ancestors already consumed, so their successors are memoized.
-        for i in range(cell.pivot, len(children)):
+        for i in range(pivot, len(children)):
             succ = self._topdown(children[i], child_entries[i])
             if succ is not None:
                 sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
-                self._insert(nid, key, cell.valuation, cell.node_score, sibling, i)
+                self._insert(nid, key, valuation, node_score, sibling, i)
         if nid == p.decomposition.root:
-            # Root cells are never chained; consumed ones are simply dropped.
+            # Root entries are never memoized; consumed ones are simply dropped.
             return None
-        cell.next = heap[0] if heap else None
-        return cell.next
+        succ = state.succ[tie] = heap[0] if heap else None
+        return succ
 
     def _insert(self, nid, key, valuation, node_score, child_entries, pivot) -> None:
         p = self.prepared
@@ -176,20 +200,3 @@ class RankedCursor:
         )
         self._push(state.queues[key], entry)
         p.counters.inserts += 1
-
-    def drain_topk(self, k: int) -> List[OutputTuple]:
-        out = []
-        while len(out) < k:
-            item = self.next()
-            if item is None:
-                break
-            out.append(item)
-        return out
-
-    def drain(self) -> List[OutputTuple]:
-        out = []
-        while True:
-            item = self.next()
-            if item is None:
-                return out
-            out.append(item)

@@ -38,14 +38,14 @@ class TreeDecomposition:
     atom_assignment: Dict[int, int] = field(default_factory=dict, compare=False)
 
     def post_order(self) -> List[int]:
+        # The reverse of a pre-order that visits children right to left.
         out: List[int] = []
-
-        def visit(nid: int) -> None:
-            for c in self.nodes[nid].children:
-                visit(c)
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
             out.append(nid)
-
-        visit(self.root)
+            stack.extend(self.nodes[nid].children)
+        out.reverse()
         return out
 
     def pre_order(self) -> List[int]:
@@ -58,11 +58,11 @@ class TreeDecomposition:
         return out
 
     def depth(self) -> int:
-        def d(nid: int) -> int:
-            node = self.nodes[nid]
-            return 0 if not node.children else 1 + max(d(c) for c in node.children)
-
-        return d(self.root)
+        depth = {self.root: 0}
+        for nid in self.pre_order():
+            for c in self.nodes[nid].children:
+                depth[c] = depth[nid] + 1
+        return max(depth.values())
 
 
 def min_edge_cover(bag: FrozenSet[str], q: ConjunctiveQuery) -> Tuple[int, ...]:
@@ -96,16 +96,16 @@ def _build(
     for nid in children:
         children[nid].sort()
 
+    if parents.get(root) is not None:
+        raise DecompositionError("root has a parent")
+    # Each node has one parent and the root none, so this walk visits every
+    # node reachable from the root once, parents before children.
+    reachable = [root]
+    for nid in reachable:
+        reachable.extend(children[nid])
     subtree: Dict[int, FrozenSet[str]] = {}
-
-    def fill_subtree(nid: int) -> FrozenSet[str]:
-        acc = set(bags[nid])
-        for c in children[nid]:
-            acc.update(fill_subtree(c))
-        subtree[nid] = frozenset(acc)
-        return subtree[nid]
-
-    fill_subtree(root)
+    for nid in reversed(reachable):
+        subtree[nid] = bags[nid].union(*(subtree[c] for c in children[nid]))
     if len(subtree) != len(bags):
         unreachable = sorted(set(bags) - set(subtree))
         raise DecompositionError(f"nodes {unreachable} not reachable from the root")

@@ -68,4 +68,4 @@ def brute_force_ranked(
             if len(scored) > cap:
                 raise OracleCapError(f"result exceeds the cap of {cap} tuples")
     ordered = sorted(scored.items(), key=lambda kv: (kv[1], kv[0]))
-    return [OutputTuple(values=v, score=s) for v, s in ordered]
+    return [OutputTuple(v, s) for v, s in ordered]

@@ -1,18 +1,21 @@
 """Preprocessing: materialize bags, run the full reducer, build the queues.
 
 After this pass every node holds, per key valuation, a min-heap of queue
-entries. An entry is the plain tuple (score, tie, cell) and stands for one
-whole subtree valuation. Its score is the node's own contribution (the node
-score, computed once per bag valuation by `ScoreModel.node_score` and carried
-over to every sibling) combined with the scores of the referenced child
-entries. Its tie is the subtree valuation itself (in the global variable
-order). Ties are unique within a queue: two entries of one queue hold two
-different subtree valuations, because Lawler's pivot rule (cursor.py) makes
-each combination of child entries once. So entries order as tuples, in C, by
-(score, tie), and the `Cell` is never compared; it has no ordering, so a
-duplicate tie would raise `TypeError` instead of being ordered silently.
-Entries sit in their queue directly and refer to their child entries, so an
-entry nothing references any more (a consumed root entry, say) is freed.
+entries. An entry is the plain tuple
+(score, tie, valuation, node_score, child_entries, pivot) and stands for one
+whole subtree valuation. `valuation` is its bag valuation and `node_score` the
+node's own contribution to it, computed once per bag valuation by
+`ScoreModel.node_score` and carried over to every sibling; `child_entries`
+holds one entry per child node, and `pivot` is the lowest child index the
+entry may still advance (Lawler's rule, cursor.py). The score
+combines the node score with the child entries' scores. The tie is the
+subtree valuation itself (in the global variable order). It contains the
+node's key, and Lawler's rule makes each combination of child entries once,
+so no two entries of one node share a tie: entries order as tuples, in C, by
+(score, tie) alone, and `NodeState.succ` memoizes a consumed entry's
+successor under its tie. Entries hold only numbers and tuples, so the cyclic
+GC untracks them once it has seen them, and one nothing references any more
+(a consumed root entry, say) is freed.
 
 Row work is compiled per node: queue keys and child-queue keys are getters
 over the bag valuation (`data.row_getter`), and a node whose subtree is its
@@ -22,6 +25,7 @@ own bag uses the valuation itself as the tie.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -33,11 +37,9 @@ from .decomposition import (
     augment_for_bounded,
     gyo_join_tree,
 )
-from .errors import EngineInvariantError, IncompatibleRankingError
+from .errors import DecompositionError, EngineInvariantError, IncompatibleRankingError
 from .query import ConjunctiveQuery
 from .ranking import RankingFunction, ScoreModel, check_compatible
-
-UNSET = object()  # distinguishes "next never computed" from "no successor"
 
 Row = Tuple[int, ...]  # a bag valuation or a key: constant ids
 
@@ -55,24 +57,8 @@ class Counters:
         return (self.inserts, self.pops, self.comparisons, self.cells)
 
 
-class Cell:
-    # The unordered part of a queue entry (score, tie, cell). `node_score`:
-    # the node's own contribution for `valuation`. `child_entries`: one entry
-    # per child node. `pivot`: the lowest child index this cell may still
-    # advance (Lawler's partition; the rule is described in cursor.py).
-    # `next`: the successor entry in this cell's queue once computed, None
-    # when there is none.
-    __slots__ = ("valuation", "node_score", "child_entries", "pivot", "next")
-
-    def __init__(self, valuation, node_score, child_entries, pivot):
-        self.valuation = valuation
-        self.node_score = node_score
-        self.child_entries = child_entries
-        self.pivot = pivot
-        self.next = UNSET
-
-
-Entry = Tuple[object, Row, Cell]  # (score, tie, cell)
+# (score, tie, valuation, node_score, child_entries, pivot)
+Entry = Tuple[object, Row, Row, object, Tuple, int]
 
 
 @dataclass
@@ -84,6 +70,9 @@ class NodeState:
     child_keys: Tuple[Callable[[Row], Row], ...]
     make_tie: Callable[[Row, Tuple[Entry, ...]], Row]
     queues: Dict[Row, List[Entry]] = field(default_factory=dict)
+    # tie of a consumed non-root entry -> the next entry of its queue, or
+    # None when there is none
+    succ: Dict[Row, Optional[Entry]] = field(default_factory=dict)
 
 
 def _tie_maker(recipe: Sequence[Tuple]) -> Callable[[Row, Tuple[Entry, ...]], Row]:
@@ -277,7 +266,10 @@ def new_cell(
     return (
         score,
         state.make_tie(valuation, child_entries),
-        Cell(valuation, node_score, child_entries, pivot),
+        valuation,
+        node_score,
+        child_entries,
+        pivot,
     )
 
 
@@ -331,6 +323,13 @@ def prepare(
         d = gyo_join_tree(query)
         if rf.kind == "bounded":
             d = augment_for_bounded(d, rf.bound_vars)
+    # The cursor's walk recurses once per tree level; half the interpreter's
+    # recursion limit is left to its callers.
+    depth, limit = d.depth(), sys.getrecursionlimit() // 2
+    if depth > limit:
+        raise DecompositionError(
+            f"join tree depth {depth} exceeds the cursor's limit of {limit}"
+        )
     report = check_compatible(rf, d)
     if not report.compatible:
         raise IncompatibleRankingError(report.reason)

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .data import Database
 from .ranking import RankingFunction
 
 
-@dataclass(frozen=True)
-class OutputTuple:
-    """One result: constant ids in head-variable order plus the engine score."""
+class OutputTuple(NamedTuple):
+    """One result: constant ids in head-variable order plus the engine score.
+    A named tuple: one is built per pull, and builds in under half the time
+    of a frozen dataclass."""
 
     values: Tuple[int, ...]
     score: object

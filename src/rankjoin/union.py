@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Tuple
 
-from .cursor import RankedCursor
+from .cursor import Cursor, RankedCursor
 from .errors import EngineInvariantError
 from .result import OutputTuple
 
@@ -22,7 +22,7 @@ def compare_key(t: OutputTuple):
     return (t.score, t.values)
 
 
-class UnionCursor:
+class UnionCursor(Cursor):
     def __init__(self, cursors: List[RankedCursor]):
         if not cursors:
             raise EngineInvariantError("union of zero disjuncts")
@@ -64,20 +64,3 @@ class UnionCursor:
             self._refill(dup_idx)
         self.emitted_count += 1
         return item
-
-    def drain_topk(self, k: int) -> List[OutputTuple]:
-        out = []
-        while len(out) < k:
-            item = self.next()
-            if item is None:
-                break
-            out.append(item)
-        return out
-
-    def drain(self) -> List[OutputTuple]:
-        out = []
-        while True:
-            item = self.next()
-            if item is None:
-                return out
-            out.append(item)

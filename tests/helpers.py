@@ -55,6 +55,17 @@ RANK_SPECS = {
 }
 
 
+def long_path(n: int) -> Tuple[str, str]:
+    """Query and decomposition text of the n-atom path R0(v0,v1), ...,
+    R{n-1}(v{n-1},v{n}), decomposed as a path of depth n - 1 rooted at R0."""
+    head = ",".join(f"v{i}" for i in range(n + 1))
+    atoms = ", ".join(f"R{i}(v{i},v{i + 1})" for i in range(n))
+    lines = [f"node {i}: {{v{i},v{i + 1}}} cover R{i}" for i in range(n)]
+    lines.append("root 0")
+    lines += [f"edge {i} {i + 1}" for i in range(n - 1)]
+    return f"Q({head}) :- {atoms}", "\n".join(lines) + "\n"
+
+
 def random_instance(shape: str, seed: int):
     """Random weighted tables for one corpus shape, plus query/decomposition."""
     query_text, decomp_text = SHAPES[shape]

@@ -30,7 +30,7 @@ from rankjoin import (
     prepare,
     probe_decomposable,
 )
-from rankjoin.preprocess import UNSET, full_reducer, materialize_bags
+from rankjoin.preprocess import full_reducer, materialize_bags
 from rankjoin.ranking import MONOIDS
 from rankjoin.union import compare_key
 
@@ -108,7 +108,7 @@ def test_criterion_1_running_example():
     def queue_scores(nid, key_raw):
         state = p.states[nid]
         key = tuple(db.encode(v) for v in key_raw)
-        return sorted(score for score, _, _ in state.queues.get(key, []))
+        return sorted(entry[0] for entry in state.queues.get(key, []))
 
     assert queue_scores(2, ("1",)) == [1, 4]
     assert queue_scores(3, ("1",)) == [1, 5]
@@ -124,7 +124,7 @@ def test_criterion_1_running_example():
     chain_scores = []
     while entry is not None:
         chain_scores.append(entry[0])
-        entry = None if entry[2].next is UNSET else entry[2].next
+        entry = p.states[1].succ.get(entry[1])
     assert chain_scores == [3, 6, 7, 10]
     assert time.perf_counter() - t0 < 1.0
 

@@ -4,7 +4,7 @@ import pytest
 
 from rankjoin.cli import main
 
-from helpers import RUNNING_QUERY
+from helpers import RUNNING_QUERY, long_path
 
 
 RUNNING_TABLES = {
@@ -120,6 +120,24 @@ def test_incompatible_ranking_exit_code(workspace, tmp_path, capsys):
 def test_validation_error_exit_code(workspace, capsys):
     (workspace / "query.txt").write_text("Q(x,y :- broken\n")
     assert main(["topk", *_base_args(workspace), "-k", "1"]) == 2
+
+
+def test_too_deep_decomposition_exit_code(tmp_path, capsys):
+    query, decomp = long_path(1200)
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(1200):
+        (data / f"R{i}.csv").write_text("a,b\n1,1\n")
+    (tmp_path / "query.txt").write_text(query + "\n")
+    (tmp_path / "decomp.txt").write_text(decomp)
+    args = [
+        "--query", str(tmp_path / "query.txt"),
+        "--data", str(data),
+        "--rank", "tuple_sum",
+        "--decomp", str(tmp_path / "decomp.txt"),
+    ]
+    assert main(["topk", *args, "-k", "1"]) == 2
+    assert "depth 1199" in capsys.readouterr().err
 
 
 def test_oracle_cap_exit_code(workspace, capsys):

@@ -7,11 +7,26 @@ import heapq
 import pytest
 from hypothesis import given, strategies as st
 
-from rankjoin import RankedCursor, format_record, prepare
+from rankjoin import (
+    RankedCursor,
+    brute_force_ranked,
+    format_record,
+    parse_query,
+    parse_ranking,
+    prepare,
+)
 from rankjoin.cursor import counted_heap
-from rankjoin.preprocess import Cell, Counters
+from rankjoin.preprocess import Counters
 
-from helpers import RANK_SPECS, SHAPES, oracle_lines, random_instance, rank_for
+from helpers import (
+    RANK_SPECS,
+    RUNNING_QUERY,
+    SHAPES,
+    oracle_lines,
+    random_instance,
+    rank_for,
+    running_example,
+)
 
 CASES = [
     (shape, ridx) for shape in sorted(SHAPES) for ridx in range(len(RANK_SPECS[shape]))
@@ -75,7 +90,30 @@ def test_counted_heap_matches_c_heapq(ops):
     assert counters.comparisons == mine_tally[0] == ref_tally[0]
 
 
-def test_duplicate_tie_is_not_ordered_silently():
-    heap = [(1, (0, 0), Cell((0, 0), 1, (), 0))]
-    with pytest.raises(TypeError):
-        heapq.heappush(heap, (1, (0, 0), Cell((0, 0), 1, (), 0)))
+def _memo_cases():
+    db, _ = running_example()
+    yield db, parse_query(RUNNING_QUERY), None, parse_ranking("tuple_sum")
+    for shape, ridx in CASES:
+        for seed in range(3):
+            db, uq, d = random_instance(shape, seed)
+            yield db, uq, d, rank_for(shape, ridx)
+
+
+@pytest.mark.parametrize("stats", [False, True])
+def test_each_consumed_tie_gets_its_own_memo_slot(stats):
+    """Ties are unique per node: after a full drain every queue is empty and
+    each non-root pop left one key in its node's `succ` memo. A repeated tie
+    would collide in the memo and leave its duplicate entry queued."""
+    for db, uq, d, rf in _memo_cases():
+        expected = len(brute_force_ranked(db, uq, rf))
+        p = prepare(db, uq.disjuncts[0], rf, d)
+        # Bounded, so a fault that emits too many results fails here instead
+        # of running long.
+        results = RankedCursor(p, stats=stats).drain_topk(expected + 1)
+        assert len(results) == expected
+        assert not any(
+            heap for state in p.states.values() for heap in state.queues.values()
+        )
+        root = p.decomposition.root
+        memo_keys = sum(len(s.succ) for nid, s in p.states.items() if nid != root)
+        assert memo_keys == p.counters.pops - len(results)

@@ -2,13 +2,30 @@ import heapq
 
 import pytest
 
-from rankjoin import RankedCursor, UnionQuery, brute_force_ranked, parse_ranking, prepare
+from rankjoin import (
+    Database,
+    DecompositionError,
+    RankedCursor,
+    Table,
+    UnionQuery,
+    brute_force_ranked,
+    parse_decomposition,
+    parse_query,
+    parse_ranking,
+    prepare,
+)
 from rankjoin import cursor as cursor_module
 from rankjoin import preprocess
 from rankjoin.errors import EngineInvariantError
-from rankjoin.preprocess import UNSET
 
-from helpers import engine_lines, oracle_lines, random_instance, rank_for, running_example
+from helpers import (
+    engine_lines,
+    long_path,
+    oracle_lines,
+    random_instance,
+    rank_for,
+    running_example,
+)
 
 
 def _cursor(rf_spec="tuple_sum", stats=False):
@@ -44,7 +61,7 @@ class TestRunningExample:
         scores = []
         while entry is not None:
             scores.append(entry[0])
-            entry = None if entry[2].next is UNSET else entry[2].next
+            entry = cur.prepared.states[1].succ.get(entry[1])
         assert scores == [3, 6, 7, 10]
 
     def test_memoized_leaf_visit_costs_nothing(self):
@@ -134,8 +151,8 @@ class TestInvariants:
             assert len(calls) == p.counters.cells - p.initial_cells
             for entries in made_at.values():
                 made = [
-                    (cell.valuation, tuple(map(id, cell.child_entries)))
-                    for _, _, cell in entries
+                    (valuation, tuple(map(id, child_entries)))
+                    for _, _, valuation, _, child_entries, _ in entries
                 ]
                 assert len(made) == len(set(made))
 
@@ -148,12 +165,12 @@ class TestInvariants:
         db, q = running_example()
         p = prepare(db, q, parse_ranking("tuple_sum"))
         nid = p.decomposition.root
-        cell = p.states[nid].queues[()][0][2]
+        entry = p.states[nid].queues[()][0]
         for _ in range(depth):
             nid = p.decomposition.nodes[nid].children[0]
-            cell = cell.child_entries[0][2]
+            entry = entry[4][0]
         state = p.states[nid]
-        heap = state.queues[tuple(cell.valuation[i] for i in state.key_positions)]
+        heap = state.queues[tuple(entry[2][i] for i in state.key_positions)]
         heapq.heappop(heap)
         assert len(heap) == depth - 1
         with pytest.raises(EngineInvariantError):
@@ -180,3 +197,36 @@ class TestInvariants:
         )
         p = prepare(db2, q, parse_ranking("tuple_sum"))
         assert RankedCursor(p).next() is None
+
+
+class TestDeepPath:
+    """The cursor walks the join tree recursively, one frame per level, so
+    `prepare` rejects a tree deeper than that walk can go."""
+
+    @staticmethod
+    def _path(n):
+        query, decomp = long_path(n)
+        uq = parse_query(query)
+        cq = uq.disjuncts[0]
+        # Only the last atom's row ("1", "2") joins, so there are two outputs.
+        rows = [("1", "1"), ("1", "2")]
+        db = Database.build(
+            [
+                Table.from_rows(f"R{i}", (f"v{i}", f"v{i + 1}"), rows, weights=[1, 2])
+                for i in range(n)
+            ]
+        )
+        return db, uq, parse_decomposition(decomp, cq)
+
+    def test_too_deep_path_is_a_decomposition_error(self):
+        db, uq, d = self._path(1200)
+        assert d.depth() == 1199
+        with pytest.raises(DecompositionError, match="depth 1199"):
+            prepare(db, uq.disjuncts[0], parse_ranking("tuple_sum"), d)
+
+    def test_300_node_path_enumerates(self):
+        db, uq, d = self._path(300)
+        rf = parse_ranking("tuple_sum")
+        lines, _ = engine_lines(db, uq.disjuncts[0], rf, d)
+        assert len(lines) == 2
+        assert lines == oracle_lines(db, uq, rf)

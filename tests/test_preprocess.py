@@ -20,7 +20,7 @@ from helpers import RUNNING_QUERY, random_instance, rank_for, running_example
 def _queue_scores(prepared, nid, key_raw):
     state = prepared.states[nid]
     key = tuple(prepared.db.encode(v) for v in key_raw)
-    return sorted(score for score, _, _ in state.queues.get(key, []))
+    return sorted(entry[0] for entry in state.queues.get(key, []))
 
 
 class TestRunningExampleQueues:
@@ -121,39 +121,36 @@ class TestQueueTopMinimal:
         rf = rank_for(shape, 0)  # tuple_sum
         p = prepare(db, cq, rf, d)
 
-        def cells_at(nid):
+        def valuations_at(nid):
             return [
-                cell for heap in p.states[nid].queues.values() for _, _, cell in heap
+                entry[2] for heap in p.states[nid].queues.values() for entry in heap
             ]
 
         def subtree_min(nid, key):
             state = p.states[nid]
             node = p.decomposition.nodes[nid]
             best = None
-            for cell in cells_at(nid):
-                k = tuple(cell.valuation[pos] for pos in state.key_positions)
+            for valuation in valuations_at(nid):
+                k = tuple(valuation[pos] for pos in state.key_positions)
                 if k != key:
                     continue
-                score = _subtree_score(p, nid, cell)
+                score = _subtree_score(p, nid, valuation)
                 best = score if best is None else min(best, score)
             return best
 
-        def _subtree_score(p, nid, cell):
+        def _subtree_score(p, nid, valuation):
             node = p.decomposition.nodes[nid]
-            score = p.model.node_score(nid, cell.valuation)
+            score = p.model.node_score(nid, valuation)
             for c in node.children:
                 # exhaustive: minimum over all joinable child subtree choices
                 child_state = p.states[c]
                 child_key_vars = p.decomposition.nodes[c].key_vars
                 order = {v: i for i, v in enumerate(node.var_order)}
-                ck = tuple(cell.valuation[order[v]] for v in child_key_vars)
+                ck = tuple(valuation[order[v]] for v in child_key_vars)
                 options = [
-                    _subtree_score(p, c, cc)
-                    for cc in cells_at(c)
-                    if tuple(
-                        cc.valuation[pos] for pos in child_state.key_positions
-                    )
-                    == ck
+                    _subtree_score(p, c, cv)
+                    for cv in valuations_at(c)
+                    if tuple(cv[pos] for pos in child_state.key_positions) == ck
                 ]
                 score = p.model.combine(score, min(options))
             return score
