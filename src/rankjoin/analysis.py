@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .data import Table
+from .decomposition import gyo_join_tree, private_pair
 from .errors import CyclicQueryError
 from .query import Atom, ConjunctiveQuery
 
@@ -115,16 +116,12 @@ def check_coordinate_dichotomy(
 ) -> Tuple[Optional[bool], Optional[Tuple[Atom, Atom]]]:
     """Feasible iff no atom pair has two or more private variables on each
     side. Returns (None, None) for cyclic queries (condition not applicable)."""
-    if not _is_acyclic(cq):
-        return None, None
-    for i, a in enumerate(cq.atoms):
-        for b in cq.atoms[i + 1 :]:
-            if (
-                len(set(a.variables) - set(b.variables)) >= 2
-                and len(set(b.variables) - set(a.variables)) >= 2
-            ):
-                return False, (a, b)
-    return True, None
+    return _coordinate(cq) if _is_acyclic(cq) else (None, None)
+
+
+def _coordinate(cq: ConjunctiveQuery) -> Tuple[bool, Optional[Tuple[Atom, Atom]]]:
+    pair = private_pair(cq)
+    return pair is None, pair
 
 
 def check_edge_dichotomy(
@@ -132,8 +129,10 @@ def check_edge_dichotomy(
 ) -> Tuple[Optional[bool], Optional[Tuple[str, str, int]]]:
     """Feasible iff every connected component has diameter at most 3.
     The witness is a vertex pair at distance 4 or more."""
-    if not _is_acyclic(cq):
-        return None, None
+    return _edge(cq) if _is_acyclic(cq) else (None, None)
+
+
+def _edge(cq: ConjunctiveQuery) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
     adj = _adjacency(cq)
     for u in sorted(adj):
         for v, d in sorted(_bfs_distances(adj, u).items()):
@@ -143,8 +142,6 @@ def check_edge_dichotomy(
 
 
 def _is_acyclic(cq: ConjunctiveQuery) -> bool:
-    from .decomposition import gyo_join_tree
-
     try:
         gyo_join_tree(cq)
         return True
@@ -154,8 +151,8 @@ def _is_acyclic(cq: ConjunctiveQuery) -> bool:
 
 def analyze(cq: ConjunctiveQuery) -> FeasibilityReport:
     acyclic = _is_acyclic(cq)
-    coord_ok, coord_wit = check_coordinate_dichotomy(cq)
-    edge_ok, edge_wit = check_edge_dichotomy(cq)
+    coord_ok, coord_wit = _coordinate(cq) if acyclic else (None, None)
+    edge_ok, edge_wit = _edge(cq) if acyclic else (None, None)
     return FeasibilityReport(
         query_name=cq.name,
         acyclic=acyclic,

@@ -16,7 +16,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import GENERATORS, analyze
-from .cursor import RankedCursor
+from .cursor import RankedCursor, buffers_ties
 from .data import Database, Table, load_csv, load_vertex_weights
 from .decomposition import (
     TreeDecomposition,
@@ -190,7 +190,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if rf is not None and rf.kind == "bounded" and not job.decomp_path:
             decomp = augment_for_bounded(decomp, rf.bound_vars)
         print(f"width: {decomp.width}")
-        _print_tree(decomp, decomp.root, 0)
+        _print_tree(decomp)
         if rf is not None:
             report = check_compatible(rf, decomp)
             verdict = "compatible" if report.compatible else "INCOMPATIBLE"
@@ -219,21 +219,28 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 "warning: edge-ranked families hit the preprocessing lower "
                 "bound on this query; the engine still runs"
             )
+    if rf is not None and buffers_ties(rf):
+        print(
+            f"warning: under {rf.spec()}, outputs that share a score are buffered "
+            "and sorted before the first of them is emitted, so the delay is "
+            "unbounded when many outputs tie"
+        )
     return EXIT_OK
 
 
-def _print_tree(d: TreeDecomposition, nid: int, depth: int) -> None:
-    node = d.nodes[nid]
-    bag = ",".join(node.var_order) or "∅"
-    key = ",".join(node.key_vars)
-    val = ",".join(node.val_vars)
-    cover = ",".join(d.query.atoms[ai].relation for ai in node.cover) or "-"
-    print(
-        f"{'  ' * depth}node {nid}: bag {{{bag}}} key [{key}] val [{val}] "
-        f"cover {cover}"
-    )
-    for c in node.children:
-        _print_tree(d, c, depth + 1)
+def _print_tree(d: TreeDecomposition) -> None:
+    depth = {d.root: 0}
+    for nid in d.pre_order():
+        node = d.nodes[nid]
+        bag = ",".join(node.var_order) or "∅"
+        key = ",".join(node.key_vars)
+        val = ",".join(node.val_vars)
+        cover = ",".join(d.query.atoms[ai].relation for ai in node.cover) or "-"
+        print(
+            f"{'  ' * depth[nid]}node {nid}: bag {{{bag}}} key [{key}] val [{val}] "
+            f"cover {cover}"
+        )
+        depth.update((c, depth[nid] + 1) for c in node.children)
 
 
 def _stream(job: Job, limit: Optional[int]) -> int:

@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .errors import EngineInvariantError
 from .preprocess import Counters, Entry, PreparedQuery, new_cell
+from .ranking import RankingFunction
 from .result import OutputTuple
 
 UNSET = object()  # a tie missing from `NodeState.succ`, unlike a None successor
@@ -82,6 +83,19 @@ def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
     return push, pop
 
 
+def buffers_ties(rf: RankingFunction) -> bool:
+    """Whether a cursor under `rf` buffers each run of equal-score outputs and
+    sorts it before emitting the first, so its delay grows with the run.
+
+    Under max, a strict score gap between two subtree valuations can collapse
+    to a tie higher up, so no per-queue tie order alone can deliver
+    equal-score outputs sorted by value. Scores still arrive nondecreasing, so
+    sorting each equal-score run restores the total order. Sum/product keep
+    strict gaps strict and lex/bounded carry their ties consistently, so they
+    skip the buffer."""
+    return rf.op == "max" and rf.kind in ("tuple", "vertex")
+
+
 class Cursor:
     """The drain helpers of every cursor; subclasses define `next()`."""
 
@@ -116,15 +130,7 @@ class RankedCursor(Cursor):
             self._push, self._pop = counted_heap(prepared.counters)
         else:
             self._push, self._pop = heapq.heappush, heapq.heappop
-        # Under max, a strict score gap between two subtree valuations can
-        # collapse to a tie higher up, so no per-queue tie order alone can
-        # deliver equal-score outputs sorted by value. Scores still arrive
-        # nondecreasing, so sorting each equal-score run restores the total
-        # order. Sum/product keep strict gaps strict and lex/bounded carry
-        # their ties consistently, so they skip the buffer.
-        self._run_sorted = prepared.model.rf.op == "max" and (
-            prepared.model.rf.kind in ("tuple", "vertex")
-        )
+        self._run_sorted = buffers_ties(prepared.model.rf)
         self._run: List[OutputTuple] = []
 
     def next(self) -> Optional[OutputTuple]:

@@ -3,17 +3,30 @@
 Every node carries the derived sets used by the engine: key(t) = bag shared
 with the parent, val(t) = the rest of the bag, subtree(t) = union of bags
 below. Width is the exact minimum integral edge cover per bag, found by
-exhaustive subset search (queries are constant-size).
+exhaustive subset search over the atoms that meet the bag.
+
+GYO sweeps each component's non-root atoms in index order. An atom is an ear
+when another remaining atom holds every variable it shares; the lowest-index
+one becomes its parent. An index from each variable to its remaining atoms
+finds both, and a sweep re-checks only atoms that lost a neighbour, since no
+other atom can have become an ear.
+
+`_build` links each tree once and rejects unknown nodes and variables and
+nodes the root does not reach (cycles included: a node has one parent); keys
+are bag ∩ parent bag by construction. `validate` checks what a decomposition
+file can get wrong: atom coverage, running intersection, and covers.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CyclicQueryError, DecompositionError, StructureError
-from .query import ConjunctiveQuery, atom_components
+from .query import Atom, ConjunctiveQuery, atom_components
 
 
 @dataclass(frozen=True)
@@ -69,13 +82,10 @@ def min_edge_cover(bag: FrozenSet[str], q: ConjunctiveQuery) -> Tuple[int, ...]:
     """Smallest set of atoms whose variables cover `bag`; ties by query order."""
     if not bag:
         return ()
-    candidates = [i for i, a in enumerate(q.atoms) if set(a.variables) & bag]
+    candidates = sorted(set().union(*(q.occurrences.get(v, ()) for v in bag)))
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            covered = set()
-            for i in combo:
-                covered.update(q.atoms[i].variables)
-            if bag <= covered:
+            if bag <= set().union(*(q.atoms[i].variables for i in combo)):
                 return combo
     raise DecompositionError(f"bag {sorted(bag)} not coverable by any atom subset")
 
@@ -89,6 +99,8 @@ def _build(
 ) -> TreeDecomposition:
     children: Dict[int, List[int]] = {nid: [] for nid in bags}
     for nid, p in parents.items():
+        if nid not in bags:
+            raise DecompositionError(f"edge {p} {nid}: node {nid} has no node line")
         if p is not None:
             if p not in bags:
                 raise DecompositionError(f"node {nid}: unknown parent {p}")
@@ -113,6 +125,9 @@ def _build(
     order_index = {v: i for i, v in enumerate(q.head)}
     nodes: Dict[int, DecompNode] = {}
     for nid, bag in bags.items():
+        unknown = bag.difference(order_index)
+        if unknown:
+            raise DecompositionError(f"node {nid}: unknown variables {sorted(unknown)}")
         p = parents.get(nid)
         key = bag & bags[p] if p is not None else frozenset()
         ordered = tuple(sorted(bag, key=order_index.__getitem__))
@@ -151,69 +166,38 @@ def _build(
 
 
 def validate(d: TreeDecomposition) -> None:
-    """Re-checks all decomposition invariants; raises DecompositionError."""
-    q = d.query
-    if d.root not in d.nodes:
-        raise DecompositionError(f"root {d.root} is not a node")
-    if d.nodes[d.root].parent is not None:
-        raise DecompositionError("root has a parent")
-    if d.nodes[d.root].key_vars:
-        raise DecompositionError("root key set is nonempty")
-    seen = set()
-    stack = [d.root]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            raise DecompositionError(f"cycle through node {nid}")
-        seen.add(nid)
-        node = d.nodes[nid]
-        for c in node.children:
-            if d.nodes[c].parent != nid:
-                raise DecompositionError(f"node {c}: parent link mismatch")
-            stack.append(c)
-    if seen != set(d.nodes):
-        missing = sorted(set(d.nodes) - seen)
-        raise DecompositionError(f"forest: nodes {missing} disconnected from root")
-
+    """Checks what `_build` does not construct; raises DecompositionError."""
+    q, nodes = d.query, d.nodes
     for ai, atom in enumerate(q.atoms):
-        if not any(set(atom.variables) <= n.bag for n in d.nodes.values()):
+        owner = d.atom_assignment.get(ai)
+        if owner is None or not set(atom.variables) <= nodes[owner].bag:
             raise DecompositionError(f"coverage: atom {atom} contained in no bag")
-        if ai not in d.atom_assignment:
-            raise DecompositionError(f"atom {atom} not assigned to any node")
-
-    for v in q.variables:
-        holders = {nid for nid, n in d.nodes.items() if v in n.bag}
-        if not holders:
-            raise DecompositionError(f"variable {v} in no bag")
-        # Connectivity: all holders must reach the topmost holder via holders.
-        top = {
-            nid
-            for nid in holders
-            if d.nodes[nid].parent is None or d.nodes[nid].parent not in holders
-        }
-        if len(top) != 1:
+    # A variable's bags are connected iff exactly one of them lacks it in its
+    # parent bag, that is, holds it in its val set.
+    tops = Counter(v for node in nodes.values() for v in node.val_vars)
+    for v in q.head:
+        if tops[v] > 1:
             raise DecompositionError(
                 f"running intersection: bags containing {v} are disconnected"
             )
-
-    for node in d.nodes.values():
-        covered = set()
-        for ai in node.cover:
-            covered.update(q.atoms[ai].variables)
+    for node in nodes.values():
+        covered = set().union(*(q.atoms[ai].variables for ai in node.cover))
         if not node.bag <= covered:
             raise DecompositionError(
                 f"node {node.id}: bag {sorted(node.bag)} not covered by its atoms"
             )
-        if set(node.key_vars) | set(node.val_vars) != node.bag:
-            raise DecompositionError(f"node {node.id}: key/val do not partition bag")
-        expect = node.bag | frozenset().union(
-            *(d.nodes[c].subtree_vars for c in node.children)
-        ) if node.children else node.bag
-        if node.subtree_vars != expect:
-            raise DecompositionError(f"node {node.id}: stale subtree variable set")
-        if node.parent is not None:
-            if frozenset(node.key_vars) != node.bag & d.nodes[node.parent].bag:
-                raise DecompositionError(f"node {node.id}: key != bag ∩ parent bag")
+
+
+def private_pair(q: ConjunctiveQuery) -> Optional[Tuple[Atom, Atom]]:
+    """The first atom pair with two or more private variables on each side."""
+    for i, a in enumerate(q.atoms):
+        for b in q.atoms[i + 1 :]:
+            if (
+                len(set(a.variables) - set(b.variables)) >= 2
+                and len(set(b.variables) - set(a.variables)) >= 2
+            ):
+                return a, b
+    return None
 
 
 def _component_root(q: ConjunctiveQuery, comp: Sequence[int]) -> int:
@@ -226,29 +210,43 @@ def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition:
     Disconnected queries get per-component trees under a synthetic empty-bag
     root. Raises CyclicQueryError (with the irreducible residue) otherwise.
     """
-    atom_vars = [set(a.variables) for a in q.atoms]
+    # variable -> the atoms still holding it
+    holders = {v: set(atoms) for v, atoms in q.occurrences.items()}
     parents: Dict[int, Optional[int]] = {}
     comp_roots: List[int] = []
     for comp in atom_components(q):
         root = _component_root(q, comp)
-        remaining = set(comp)
-        while len(remaining) > 1:
-            progress = False
-            for a in [i for i in comp if i in remaining and i != root]:
-                others = remaining - {a}
-                shared = atom_vars[a] & set().union(*(atom_vars[o] for o in others))
-                witness = next(
-                    (o for o in comp if o in others and shared <= atom_vars[o]), None
-                )
-                if witness is not None:
-                    parents[a] = witness
-                    remaining.discard(a)
-                    progress = True
-            if not progress:
+        left = len(comp)
+        sweep = [a for a in comp if a != root]  # a heap of atom indices
+        while left > 1:
+            if not sweep:
                 raise CyclicQueryError(
                     "query is not alpha-acyclic",
-                    residue=[q.atoms[i] for i in sorted(remaining)],
+                    residue=[q.atoms[i] for i in comp if i not in parents],
                 )
+            # Neighbours of a removed atom are re-checked: later in this
+            # sweep when they come after it, else in the next one.
+            queued, retry = {root, *sweep}, set()
+            while sweep:
+                a = heapq.heappop(sweep)
+                # The remaining atoms stay connected, so `a` shares a variable.
+                shared = [
+                    holders[v] for v in q.atoms[a].variables if len(holders[v]) > 1
+                ]
+                witnesses = set.intersection(*sorted(shared, key=len)) - {a}
+                if not witnesses:
+                    continue
+                parents[a] = min(witnesses)
+                left -= 1
+                for v in q.atoms[a].variables:
+                    holders[v].discard(a)
+                    for n in holders[v]:
+                        if n < a:
+                            retry.add(n)
+                        elif n not in queued:
+                            heapq.heappush(sweep, n)
+                            queued.add(n)
+            sweep = sorted(retry - {root})
         comp_roots.append(root)
 
     bags = {i: frozenset(a.variables) for i, a in enumerate(q.atoms)}
@@ -273,16 +271,11 @@ def depth_one_decomposition(q: ConjunctiveQuery) -> TreeDecomposition:
     private variables on each side; raises StructureError otherwise.
     """
     gyo_join_tree(q)  # acyclicity gate
-    for i, a in enumerate(q.atoms):
-        for j in range(i + 1, len(q.atoms)):
-            b = q.atoms[j]
-            if (
-                len(set(a.variables) - set(b.variables)) >= 2
-                and len(set(b.variables) - set(a.variables)) >= 2
-            ):
-                raise StructureError(
-                    f"atoms {a} and {b} each have two or more private variables"
-                )
+    pair = private_pair(q)
+    if pair:
+        raise StructureError(
+            f"atoms {pair[0]} and {pair[1]} each have two or more private variables"
+        )
     root = _component_root(q, range(len(q.atoms)))
     bags = {i: frozenset(a.variables) for i, a in enumerate(q.atoms)}
     covers = {i: (i,) for i in range(len(q.atoms))}

@@ -56,15 +56,16 @@ def brute_force_ranked(
     rf: RankingFunction,
     cap: int = DEFAULT_CAP,
 ) -> List[OutputTuple]:
-    """Exact sorted, deduplicated result under (score, output values)."""
+    """Exact sorted, deduplicated result under (score, output values). An
+    output found by several disjuncts scores its best derivation, the lowest
+    of the disjuncts' scores."""
     head = q.head
     scored: Dict[Tuple[int, ...], object] = {}
     for cq in q.disjuncts:
         for values in _join_disjunct(db, cq, cap):
-            if values in scored:
-                continue
-            valuation = dict(zip(head, values))
-            scored[values] = direct_score(rf, db, cq, valuation)
+            score = direct_score(rf, db, cq, dict(zip(head, values)))
+            if values not in scored or score < scored[values]:
+                scored[values] = score
             if len(scored) > cap:
                 raise OracleCapError(f"result exceeds the cap of {cap} tuples")
     ordered = sorted(scored.items(), key=lambda kv: (kv[1], kv[0]))

@@ -18,8 +18,9 @@ GC untracks them once it has seen them, and one nothing references any more
 (a consumed root entry, say) is freed.
 
 Row work is compiled per node: queue keys and child-queue keys are getters
-over the bag valuation (`data.row_getter`), and a node whose subtree is its
-own bag uses the valuation itself as the tie.
+over the bag valuation (`data.row_getter`), and so is the tie, over the bag
+valuation followed by the child entries' ties; a node whose subtree is its own
+bag uses the valuation itself as the tie.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ Entry = Tuple[object, Row, Row, object, Tuple, int]
 
 @dataclass
 class NodeState:
-    key_positions: Tuple[int, ...]
     # Compiled once per node: the queue key of a bag valuation, the key of
     # the queue it joins at each child, and its tie from the child entries.
     key: Callable[[Row], Row]
@@ -75,22 +75,15 @@ class NodeState:
     succ: Dict[Row, Optional[Entry]] = field(default_factory=dict)
 
 
-def _tie_maker(recipe: Sequence[Tuple]) -> Callable[[Row, Tuple[Entry, ...]], Row]:
+def _tie_maker(tie_of: Callable[[Row], Row]) -> Callable[[Row, Tuple[Entry, ...]], Row]:
     """The function forming an entry's tie, its subtree valuation in head
-    order. Each slot comes either from this bag ("o", bag position) or from
-    one child entry's tie ("c", child index, position)."""
-    if all(src[0] == "o" for src in recipe):
-        # The subtree is the bag, and var_order already is the head order.
-        return lambda valuation, child_entries: valuation
+    order: `tie_of` reads it off the bag valuation followed by each child
+    entry's tie."""
 
     def make_tie(valuation, child_entries):
-        out = []
-        for src in recipe:
-            if src[0] == "o":
-                out.append(valuation[src[1]])
-            else:
-                out.append(child_entries[src[1]][1][src[2]])
-        return tuple(out)
+        for child in child_entries:
+            valuation += child[1]
+        return tie_of(valuation)
 
     return make_tie
 
@@ -99,33 +92,28 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
     node = d.nodes[nid]
     order = {v: i for i, v in enumerate(node.var_order)}
     head_pos = {v: i for i, v in enumerate(d.query.head)}
-    child_keys = []
-    child_subtrees = []
+    # Where each subtree variable first occurs in the bag valuation followed
+    # by the child ties, each a child subtree valuation in head order.
+    layout = list(node.var_order)
     for c in node.children:
-        child = d.nodes[c]
-        child_keys.append(row_getter([order[v] for v in child.key_vars]))
-        child_subtrees.append(
-            tuple(sorted(child.subtree_vars, key=head_pos.__getitem__))
-        )
-    recipe = []
-    for v in sorted(node.subtree_vars, key=head_pos.__getitem__):
-        if v in order:
-            recipe.append(("o", order[v]))
-        else:
-            for i, sub in enumerate(child_subtrees):
-                if v in sub:
-                    recipe.append(("c", i, sub.index(v)))
-                    break
-            else:
-                raise EngineInvariantError(
-                    f"node {nid}: variable {v} in no child subtree"
-                )
-    key_positions = tuple(order[v] for v in node.key_vars)
+        layout += sorted(d.nodes[c].subtree_vars, key=head_pos.__getitem__)
+    first: Dict[str, int] = {}
+    for i, v in enumerate(layout):
+        first.setdefault(v, i)
+    subtree = sorted(node.subtree_vars, key=head_pos.__getitem__)
     return NodeState(
-        key_positions=key_positions,
-        key=row_getter(key_positions),
-        child_keys=tuple(child_keys),
-        make_tie=_tie_maker(tuple(recipe)),
+        key=row_getter([order[v] for v in node.key_vars]),
+        child_keys=tuple(
+            row_getter([order[v] for v in d.nodes[c].key_vars])
+            for c in node.children
+        ),
+        # A node whose subtree is its bag has the valuation as its tie, since
+        # var_order already is the head order.
+        make_tie=(
+            (lambda valuation, child_entries: valuation)
+            if node.subtree_vars == node.bag
+            else _tie_maker(row_getter([first[v] for v in subtree]))
+        ),
     )
 
 

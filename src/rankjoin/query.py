@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 from .errors import QueryParseError
@@ -41,6 +42,15 @@ class ConjunctiveQuery:
     @property
     def variables(self) -> Set[str]:
         return {v for a in self.atoms for v in a.variables}
+
+    @cached_property
+    def occurrences(self) -> Dict[str, Tuple[int, ...]]:
+        """Each variable's atom indices, ascending; built once per query."""
+        out: Dict[str, List[int]] = {}
+        for i, atom in enumerate(self.atoms):
+            for v in atom.variables:
+                out.setdefault(v, []).append(i)
+        return {v: tuple(atoms) for v, atoms in out.items()}
 
     def __str__(self) -> str:
         body = ", ".join(str(a) for a in self.atoms)
@@ -145,15 +155,11 @@ def atom_components(cq: ConjunctiveQuery) -> List[List[int]]:
             i = parent[i]
         return i
 
-    owner: Dict[str, int] = {}
-    for i, atom in enumerate(cq.atoms):
-        for v in atom.variables:
-            if v in owner:
-                ri, rj = find(owner[v]), find(i)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            else:
-                owner[v] = i
+    for first, *rest in cq.occurrences.values():
+        for i in rest:
+            ri, rj = find(first), find(i)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     groups: Dict[int, List[int]] = {}
     for i in range(len(cq.atoms)):
         groups.setdefault(find(i), []).append(i)

@@ -204,6 +204,9 @@ def test_criterion_6_union():
     uq = parse_query("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)")
     rf = parse_ranking("vertex_sum")
     rng = random.Random(2024)
+    weight_rng = random.Random(2025)
+    tuple_sum = parse_ranking("tuple_sum")
+    diverging = 0  # outputs the two disjuncts score differently
     dom = [str(i) for i in range(4)]
     for trial in range(20):
         def rows():
@@ -234,6 +237,30 @@ def test_criterion_6_union():
         ).drain()
         single = RankedCursor(prepare(db, same.disjuncts[0], rf)).drain()
         assert len(union_out) == len(single)
+
+        # Tuple weights: S and T weigh their shared rows differently, so an
+        # output found by both disjuncts ranks by the lower of its scores.
+        weighted = Database.build([
+            Table.from_rows(t.name, t.columns, t.rows,
+                            [weight_rng.randint(-9, 9) for _ in t.rows])
+            for t in tables
+        ])
+        got = UnionCursor(
+            [RankedCursor(prepare(weighted, cq, tuple_sum)) for cq in uq.disjuncts]
+        ).drain()
+        want = brute_force_ranked(weighted, uq, tuple_sum)
+        assert [(r.values, r.score) for r in got] == [
+            (r.values, r.score) for r in want
+        ]
+        keys = [compare_key(r) for r in got]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        s_scores, t_scores = (
+            {r.values: r.score for r in brute_force_ranked(
+                weighted, UnionQuery((cq,)), tuple_sum)}
+            for cq in uq.disjuncts
+        )
+        diverging += sum(s_scores[v] != t_scores[v] for v in s_scores.keys() & t_scores)
+    assert diverging > 0
 
 
 @criterion(7, "dichotomy checkers give the exact fixture verdicts")

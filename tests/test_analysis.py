@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+import rankjoin.analysis
 from rankjoin import (
     Database,
     analyze,
@@ -10,6 +13,7 @@ from rankjoin import (
     gen_antichain_product,
     gen_diameter4_instance,
     gen_threepath,
+    gyo_join_tree,
     parse_query,
 )
 from rankjoin.analysis import exact_diameter
@@ -166,3 +170,18 @@ class TestGenerators:
 
     def test_generators_deterministic(self):
         assert gen_antichain_product(4) == gen_antichain_product(4)
+
+
+@pytest.mark.parametrize(
+    "query", [PATH4, CARTESIAN, _cq("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)")]
+)
+def test_analyze_builds_one_join_tree(query, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return gyo_join_tree(q)
+
+    monkeypatch.setattr(rankjoin.analysis, "gyo_join_tree", counting)
+    analyze(query)
+    assert calls == [query]

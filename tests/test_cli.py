@@ -206,3 +206,53 @@ def test_lex_rank_spec(workspace, capsys):
     assert main(["enumerate", *args]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first == "1,1,1,1,1\t1,1,1,1,1"
+
+
+def test_decomp_edge_to_unknown_child_exit_code(workspace, tmp_path, capsys):
+    decomp = tmp_path / "d.txt"
+    decomp.write_text(
+        "node 1: {x,y} cover R1\nnode 2: {y,z} cover R2\n"
+        "root 1\nedge 1 2\nedge 2 7\n"
+    )
+    args = _base_args(workspace, "--decomp", str(decomp))
+    assert main(["topk", *args, "-k", "1"]) == 2
+    assert "node 7" in capsys.readouterr().err
+
+
+def test_union_under_tuple_weights_prints_each_output_once(tmp_path, capsys):
+    # Output 1,2,3 scores 10 through S and 5 through T: it ranks at 5.
+    data = tmp_path / "data"
+    data.mkdir()
+    tables = {
+        "R": ("x,y,w", ["1,2,0", "4,5,0"]),
+        "S": ("y,z,w", ["2,3,10", "5,6,7"]),
+        "T": ("y,z,w", ["2,3,5"]),
+    }
+    for name, (header, rows) in tables.items():
+        (data / f"{name}.csv").write_text("\n".join([header] + rows) + "\n")
+    query = tmp_path / "query.txt"
+    query.write_text("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)\n")
+    args = ["--query", str(query), "--data", str(data), "--rank", "tuple_sum",
+            "--weight-col", "w"]
+    assert main(["enumerate", *args]) == 0
+    engine = capsys.readouterr().out
+    assert engine.splitlines() == ["5\t1,2,3", "7\t4,5,6"]
+    assert main(["oracle", *args]) == 0
+    assert capsys.readouterr().out == engine
+
+
+@pytest.mark.parametrize("spec, warned", [("vertex_max", True), ("tuple_sum", False)])
+def test_plan_warns_when_ties_are_buffered(workspace, capsys, spec, warned):
+    args = _base_args(workspace)
+    args[args.index("tuple_sum")] = spec
+    assert main(["plan", *args]) == 0
+    out = capsys.readouterr().out
+    assert ("buffered and sorted before the first of them" in out) == warned
+
+
+def test_plan_on_2000_atom_path(tmp_path, capsys):
+    query, _ = long_path(2000)
+    (tmp_path / "query.txt").write_text(query + "\n")
+    assert main(["plan", "--query", str(tmp_path / "query.txt")]) == 0
+    out = capsys.readouterr().out
+    assert "  " * 1999 + "node 1999: bag {v1999,v2000} key [v1999]" in out

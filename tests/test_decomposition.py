@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rankjoin import (
@@ -11,6 +13,8 @@ from rankjoin import (
     parse_query,
 )
 from rankjoin.decomposition import min_edge_cover, validate
+
+from helpers import long_path
 
 RUNNING = "Q(x,y,z,w,u) :- R1(x,y), R2(y,z), R3(z,w), R4(z,u)"
 TRIANGLE = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
@@ -176,3 +180,141 @@ def test_min_edge_cover_exact():
     assert min_edge_cover(frozenset({"x", "y", "z"}), cq) == (0, 1)
     assert min_edge_cover(frozenset({"x", "y"}), cq) == (0,)
     assert min_edge_cover(frozenset(), cq) == ()
+
+
+def _reference_components(q):
+    comps, seen = [], set()
+    for start in range(len(q.atoms)):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            a = frontier.pop()
+            for b in range(len(q.atoms)):
+                shares = set(q.atoms[a].variables) & set(q.atoms[b].variables)
+                if b not in comp and shares:
+                    comp.add(b)
+                    frontier.append(b)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def _reference_gyo(q):
+    """Ear removal written for clarity: each sweep visits the component's
+    remaining non-root atoms in index order and removes an atom when another
+    remaining atom holds every variable it shares with the rest; the
+    lowest-index such atom becomes its parent. Returns (root, parents), or
+    (None, residue indices) for the first component a sweep cannot reduce."""
+    parents, roots = {}, []
+    for comp in _reference_components(q):
+        root = max(comp, key=lambda i: (len(q.atoms[i].variables), -i))
+        remaining = list(comp)
+        while len(remaining) > 1:
+            removed = False
+            for a in [i for i in remaining if i != root]:
+                others = [o for o in remaining if o != a]
+                rest = {v for o in others for v in q.atoms[o].variables}
+                shared = set(q.atoms[a].variables) & rest
+                witness = next(
+                    (o for o in others if shared <= set(q.atoms[o].variables)), None
+                )
+                if witness is not None:
+                    parents[a] = witness
+                    remaining.remove(a)
+                    removed = True
+            if not removed:
+                return None, remaining
+        roots.append(root)
+    if len(roots) == 1:
+        parents[roots[0]] = None
+        return roots[0], parents
+    top = len(q.atoms)
+    parents.update({r: top for r in roots})
+    parents[top] = None
+    return top, parents
+
+
+def _random_query(rng):
+    pool = [f"v{i}" for i in range(rng.randint(1, 8))]
+    atoms = []
+    for _ in range(rng.randint(1, 10)):
+        if atoms and rng.random() < 0.6:
+            # Mostly tree-like: share some variables of an earlier atom.
+            base = rng.choice(atoms)
+            vs = set(rng.sample(base, rng.randint(0, len(base))))
+            vs |= set(rng.sample(pool, rng.randint(0, min(2, len(pool)))))
+        else:
+            vs = set(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+        atoms.append(sorted(vs or {rng.choice(pool)}))
+    head = sorted({v for a in atoms for v in a})
+    rng.shuffle(head)
+    body = ", ".join(f"R{i}({','.join(a)})" for i, a in enumerate(atoms))
+    return _cq(f"Q({','.join(head)}) :- {body}")
+
+
+def test_gyo_matches_reference_sweep_on_random_queries():
+    rng = random.Random(1984)
+    seen = {"acyclic": 0, "cyclic": 0, "disconnected": 0}
+    for _ in range(1200):
+        q = _random_query(rng)
+        root, parents = _reference_gyo(q)
+        if root is None:
+            seen["cyclic"] += 1
+            with pytest.raises(CyclicQueryError) as e:
+                gyo_join_tree(q)
+            assert list(e.value.residue) == [q.atoms[i] for i in parents], q
+            continue
+        seen["acyclic"] += 1
+        seen["disconnected"] += root == len(q.atoms)
+        d = gyo_join_tree(q)
+        assert d.root == root, q
+        assert {nid: n.parent for nid, n in d.nodes.items()} == parents, q
+        covers = {i: (i,) for i in range(len(q.atoms))}
+        if root == len(q.atoms):
+            covers[root] = ()
+        assert {nid: n.cover for nid, n in d.nodes.items()} == covers, q
+        assert d.width == 1
+        assert d.atom_assignment == {i: i for i in range(len(q.atoms))}
+    assert min(seen.values()) >= 100, seen
+
+
+class TestLongPath:
+    """Building a tree is near-linear in the atom count, so 2,000-atom paths
+    build (and GYO keeps their path shape) without a recursion."""
+
+    def test_gyo_builds_the_path(self):
+        query, _ = long_path(2000)
+        d = gyo_join_tree(_cq(query))
+        assert d.root == 0
+        assert d.depth() == 1999
+        assert all(d.nodes[i].parent == i - 1 for i in range(1, 2000))
+
+    def test_parse_builds_the_path(self):
+        query, decomp = long_path(2000)
+        d = parse_decomposition(decomp, _cq(query))
+        assert d.root == 0
+        assert d.depth() == 1999
+
+
+class TestFileErrors:
+    def test_edge_to_unknown_child(self):
+        text = (
+            "node 0: {x,y} cover R\nnode 1: {y,z} cover S\n"
+            "root 0\nedge 0 1\nedge 1 7\n"
+        )
+        with pytest.raises(DecompositionError, match="node 7"):
+            parse_decomposition(text, _cq("Q(x,y,z) :- R(x,y), S(y,z)"))
+
+    def test_unknown_bag_variable(self):
+        with pytest.raises(DecompositionError, match=r"unknown variables \['q'\]"):
+            parse_decomposition(
+                "node 0: {x,y,q} cover R\nroot 0\n", _cq("Q(x,y) :- R(x,y)")
+            )
+
+    def test_cover_must_cover_its_bag(self):
+        with pytest.raises(
+            DecompositionError,
+            match=r"node 0: bag \['x', 'y', 'z'\] not covered by its atoms",
+        ):
+            parse_decomposition("node 0: {x,y,z} cover R\nroot 0\n", _cq(TRIANGLE))

@@ -170,7 +170,7 @@ class TestInvariants:
             nid = p.decomposition.nodes[nid].children[0]
             entry = entry[4][0]
         state = p.states[nid]
-        heap = state.queues[tuple(entry[2][i] for i in state.key_positions)]
+        heap = state.queues[state.key(entry[2])]
         heapq.heappop(heap)
         assert len(heap) == depth - 1
         with pytest.raises(EngineInvariantError):

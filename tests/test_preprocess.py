@@ -131,7 +131,7 @@ class TestQueueTopMinimal:
             node = p.decomposition.nodes[nid]
             best = None
             for valuation in valuations_at(nid):
-                k = tuple(valuation[pos] for pos in state.key_positions)
+                k = state.key(valuation)
                 if k != key:
                     continue
                 score = _subtree_score(p, nid, valuation)
@@ -150,7 +150,7 @@ class TestQueueTopMinimal:
                 options = [
                     _subtree_score(p, c, cv)
                     for cv in valuations_at(c)
-                    if tuple(cv[pos] for pos in child_state.key_positions) == ck
+                    if child_state.key(cv) == ck
                 ]
                 score = p.model.combine(score, min(options))
             return score

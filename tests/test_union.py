@@ -108,3 +108,37 @@ class TestUnion:
         tie = OutputTuple((1, 3), 3)
         assert compare_key(low) < compare_key(high)  # score dominates
         assert compare_key(low) < compare_key(tie)  # value tie-break
+
+
+def _diverging_union_db(other=7):
+    """Output (1,2,3) scores 10 through S and 5 through T; (4,5,6) scores
+    `other` through S alone."""
+    return Database.build([
+        Table.from_rows("R", ("x", "y"), [("1", "2"), ("4", "5")], weights=[0, 0]),
+        Table.from_rows("S", ("y", "z"), [("2", "3"), ("5", "6")], weights=[10, other]),
+        Table.from_rows("T", ("y", "z"), [("2", "3")], weights=[5]),
+    ])
+
+
+class TestTupleWeightUnion:
+    """Under tuple weights one output can score differently in each disjunct;
+    it ranks by its best derivation and is emitted once."""
+
+    @pytest.mark.parametrize("spec", ["tuple_sum", "bounded(tuple_sum; y,z)"])
+    def test_output_ranks_by_its_best_derivation(self, spec):
+        db = _diverging_union_db()
+        uq = parse_query(UNION_TEXT)
+        rf = parse_ranking(spec)
+        got = [format_record(rf, db, r) for r in _union_cursor(db, uq, rf).drain()]
+        assert got == ["5\t1,2,3", "7\t4,5,6"]
+        assert got == [format_record(rf, db, r) for r in brute_force_ranked(db, uq, rf)]
+
+    def test_adjacent_duplicates_with_diverging_scores(self):
+        # No other output falls between the two scores of (1,2,3), so its
+        # second occurrence is next in the merge heap: a valid input, not an
+        # engine fault.
+        db = _diverging_union_db(other=12)
+        uq = parse_query(UNION_TEXT)
+        rf = parse_ranking("tuple_sum")
+        got = [format_record(rf, db, r) for r in _union_cursor(db, uq, rf).drain()]
+        assert got == ["5\t1,2,3", "12\t4,5,6"]
