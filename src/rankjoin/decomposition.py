@@ -9,7 +9,9 @@ GYO sweeps each component's non-root atoms in index order. An atom is an ear
 when another remaining atom holds every variable it shares; the lowest-index
 one becomes its parent. An index from each variable to its remaining atoms
 finds both, and a sweep re-checks only atoms that lost a neighbour, since no
-other atom can have become an ear.
+other atom can have become an ear. That is near-linear when each variable is
+in few atoms; a variable in every atom (a star) makes each ear test and each
+removal walk all its holders, so stars stay quadratic.
 
 `_build` links each tree once and rejects unknown nodes and variables and
 nodes the root does not reach (cycles included: a node has one parent); keys

@@ -3,15 +3,12 @@
 Each sub-cursor already emits in (score, output values) order, so a merge heap
 holding at most one pending tuple per disjunct yields the union in the same
 order. An output found by several disjuncts ranks by its best derivation, the
-lowest of their scores, which is the first occurrence the merge meets.
-
-When the ranking is value-determined (`vertex_*`, `lex`, `bounded(vertex_*;
-…)`), every disjunct scores an output alike, so its duplicates surface
-consecutively and are drained on the spot; diverging scores there would mean
-an engine bug. Tuple weights (`tuple_*`, `bounded(tuple_*; …)`) can score one
-output differently in each disjunct, so the merge keeps the set of values it
-has emitted and skips later occurrences: O(k) space after k results. The
-merge also asserts strict monotonicity of every sub-stream defensively.
+lowest of their scores, which is the first occurrence the merge meets. Under
+tuple weights (`tuple_*`, `bounded(tuple_*; …)`) its other derivations can
+score higher and surface much later, so the merge keeps the set of values it
+has emitted and skips later occurrences: O(k) space after k results, for every
+ranking. The merge also asserts strict monotonicity of every sub-stream
+defensively.
 """
 
 from __future__ import annotations
@@ -40,10 +37,7 @@ class UnionCursor(Cursor):
         self._last: List[Optional[Tuple]] = [None] * len(cursors)
         self._heap: List[Tuple[object, Tuple[int, ...], int, OutputTuple]] = []
         self.emitted_count = 0
-        rf = cursors[0].prepared.model.rf
-        self._emitted: Optional[Set[Tuple[int, ...]]] = (
-            set() if "tuple" in (rf.kind, rf.inner_kind) else None
-        )
+        self._emitted: Set[Tuple[int, ...]] = set()
         for i in range(len(cursors)):
             self._refill(i)
 
@@ -64,21 +58,8 @@ class UnionCursor(Cursor):
         while heap:
             _, values, idx, item = heapq.heappop(heap)
             self._refill(idx)
-            if emitted is None:
-                # Value-determined scores: the other disjuncts' copies of
-                # `item` are next in the heap and score alike.
-                while heap and heap[0][1] == values:
-                    _, _, dup_idx, dup = heapq.heappop(heap)
-                    if dup.score != item.score:
-                        raise EngineInvariantError(
-                            f"duplicate {values} with diverging scores "
-                            f"{item.score} vs {dup.score}"
-                        )
-                    self._refill(dup_idx)
-            elif values in emitted:
-                continue
-            else:
+            if values not in emitted:
                 emitted.add(values)
-            self.emitted_count += 1
-            return item
+                self.emitted_count += 1
+                return item
         return None

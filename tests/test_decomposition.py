@@ -280,8 +280,9 @@ def test_gyo_matches_reference_sweep_on_random_queries():
 
 
 class TestLongPath:
-    """Building a tree is near-linear in the atom count, so 2,000-atom paths
-    build (and GYO keeps their path shape) without a recursion."""
+    """Building a tree is near-linear on paths, where each variable is in at
+    most two atoms, so 2,000-atom paths build (and GYO keeps their path
+    shape) without a recursion."""
 
     def test_gyo_builds_the_path(self):
         query, _ = long_path(2000)
