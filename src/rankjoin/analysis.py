@@ -45,7 +45,11 @@ def _bfs_distances(adj: Dict[str, set], start: str) -> Dict[str, int]:
 def component_diameters(cq: ConjunctiveQuery) -> List[int]:
     """Diameter of each variable-connected component: the maximum over vertex
     pairs of the shortest alternating vertex-edge path length, computed as BFS
-    distance in the share-an-atom graph."""
+    distance in the share-an-atom graph.
+
+    A component whose graph is a tree (one edge fewer than vertices) takes two
+    BFS sweeps: the vertex farthest from any start is one end of a longest
+    path. Other components take one BFS per vertex."""
     adj = _adjacency(cq)
     unseen = set(adj)
     out = []
@@ -54,9 +58,12 @@ def component_diameters(cq: ConjunctiveQuery) -> List[int]:
         dist = _bfs_distances(adj, start)
         comp = set(dist)
         unseen -= comp
-        diam = 0
-        for v in sorted(comp):
-            diam = max(diam, max(_bfs_distances(adj, v).values()))
+        edges = sum(len(adj[v]) for v in comp) // 2
+        if edges == len(comp) - 1:
+            far = max(dist, key=dist.__getitem__)
+            diam = max(_bfs_distances(adj, far).values())
+        else:
+            diam = max(max(_bfs_distances(adj, v).values()) for v in comp)
         out.append(diam)
     return out
 

@@ -27,7 +27,7 @@ records per-pull counter deltas in `pull_stats`.
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from .errors import EngineInvariantError
@@ -144,10 +144,11 @@ class RankedCursor(Cursor):
             if first is None:
                 return None
             run = [first]
+            score = first[1]
             heap = self.prepared.root_state.queues.get(())
-            while heap and heap[0][0] == first.score:
+            while heap and heap[0][0] == score:
                 run.append(self._engine_next())
-            run.sort(key=attrgetter("values"))
+            run.sort(key=itemgetter(0))  # by values
             run.reverse()  # emit by popping from the tail
             self._run = run
         self.emitted_count += 1

@@ -13,6 +13,12 @@ order for every encodable string.
 Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
 
+`load_csv` streams the file through `csv.reader` and does per row only the
+blank-line skip, the width check and the column projection. Whether fields
+need stripping is decided once per file; the weight column is collected as
+text and checked and converted a block of rows at a time. A failed check
+re-reads the file row by row, so an error names the same row either way.
+
 Weights are 64-bit integers; users needing reals are expected to scale to
 fixed-point. Tuples are plain python tuples of ids with a parallel weight map,
 which keeps joins and hashing cheap.
@@ -23,13 +29,27 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
+)
 
 from .errors import IngestError, SchemaError
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# A weight column's texts joined by newlines, each one an `_INT_RE` match.
+_INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
+# Weight texts are parsed this many at a time. Texts kept to the end of the
+# file would sit between the rows' values in memory, and `Database.build`
+# reads values spread that way more slowly.
+_WEIGHT_BLOCK = 4096
+# What can make a field differ from its stripped text: whitespace other than
+# line ends, which the reader consumes outside quotes, and the quote, inside
+# which a field can hold anything. `\s` and `str.strip` test the same
+# characters (`Py_UNICODE_ISSPACE`).
+_STRIP_NEEDED_RE = re.compile(r'[^\S\r\n]|"')
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -42,6 +62,36 @@ def _parse_weight(text: str, row_no: int, path: str) -> int:
     if not (INT64_MIN <= value <= INT64_MAX):
         raise IngestError(f"{path}:{row_no}: weight {value} outside 64-bit range")
     return value
+
+
+def _take_weights(texts: List[str], weights: List[int]) -> bool:
+    """Move the values of a block of stripped weight texts onto `weights`.
+    False, with nothing moved, when one of them is not a 64-bit integer
+    literal (`_parse_weight` then names it)."""
+    if not texts:
+        return True
+    if not _INT_COLUMN_RE.fullmatch("\n".join(texts)):
+        return False
+    try:
+        values = list(map(int, texts))
+    except ValueError:
+        # A quoted text holding the separator ("1\n2"), or one past the
+        # interpreter's digit limit.
+        return False
+    if min(values) < INT64_MIN or max(values) > INT64_MAX:
+        return False
+    weights += values
+    texts.clear()
+    return True
+
+
+def _strip_needed(fh) -> bool:
+    """Whether any field of the open file can differ from its stripped text.
+    Reads the file in chunks, never all of it at once, and rewinds it."""
+    chunks = iter(partial(fh.read, 1 << 20), "")
+    found = any(map(_STRIP_NEEDED_RE.search, chunks))
+    fh.seek(0)
+    return found
 
 
 def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
@@ -123,15 +173,18 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
     If `weight_column` is given, that column must parse as a 64-bit integer on
     every row; it is removed from the join schema and attached as the tuple
     weight. Duplicate rows are collapsed (set semantics); duplicates with
-    conflicting weights are an ingestion error.
+    conflicting weights are an ingestion error. Fields are stripped of
+    surrounding whitespace, and blank lines are skipped.
     """
     with open(path, newline="") as fh:
+        strip = _strip_needed(fh)
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: missing header row") from None
         header = tuple(map(str.strip, header))
+        width = len(header)
         widx: Optional[int] = None
         if weight_column is not None:
             if weight_column not in header:
@@ -140,22 +193,52 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
                     f"{list(header)}"
                 )
             widx = header.index(weight_column)
-        keep = row_getter([i for i in range(len(header)) if i != widx])
+        keep = row_getter([i for i in range(width) if i != widx])
         columns = keep(header)
-        rows = []
-        weights = [] if widx is not None else None
+        rows: List[Tuple[str, ...]] = []
+        add_row = rows.append
+        texts: List[str] = []
+        add_text = texts.append
+        weights: List[int] = []
+        for raw in reader:
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if len(raw) != width:
+                _raise_first_bad_row(path, width, widx)
+            if strip:
+                raw = tuple(map(str.strip, raw))
+            add_row(keep(raw))
+            if widx is not None:
+                add_text(raw[widx])
+                if len(texts) == _WEIGHT_BLOCK and not _take_weights(texts, weights):
+                    _raise_first_bad_row(path, width, widx)
+    if not _take_weights(texts, weights):
+        _raise_first_bad_row(path, width, widx)
+    if len(columns) < 2:
+        # One position is read by a slice, which keeps a reader row a list.
+        rows = list(map(tuple, rows))
+    return _dedup_table(
+        name, columns, rows, weights if widx is not None else None, source=path
+    )
+
+
+def _raise_first_bad_row(path: str, width: int, widx: Optional[int]) -> NoReturn:
+    """Re-read the file row by row and raise the error of its first bad row,
+    a wrong field count or an invalid weight. Rows are numbered by reader
+    record, the header being row 1 and blank rows counted."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_no, raw in enumerate(reader, start=2):
             if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue
-            if len(raw) != len(header):
+            if len(raw) != width:
                 raise IngestError(
-                    f"{path}:{row_no}: expected {len(header)} fields, got {len(raw)}"
+                    f"{path}:{row_no}: expected {width} fields, got {len(raw)}"
                 )
-            raw = tuple(map(str.strip, raw))
             if widx is not None:
-                weights.append(_parse_weight(raw[widx], row_no, path))
-            rows.append(keep(raw))
-    return _dedup_table(name, columns, rows, weights, source=path)
+                _parse_weight(raw[widx].strip(), row_no, path)
+    raise IngestError(f"{path}: changed while it was read")
 
 
 def load_vertex_weights(path: str) -> Dict[str, int]:
@@ -184,7 +267,11 @@ def load_vertex_weights(path: str) -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class Relation:
-    """An encoded relation: rows are tuples of constant ids over `schema`."""
+    """An encoded relation: rows are tuples of constant ids over `schema`.
+
+    The rows are distinct: `Database.build` encodes the rows of deduplicated
+    tables with an injective map, and `semijoin` only drops rows. Bag
+    materialization relies on this to take a relation's rows as a bag."""
 
     name: str
     schema: Tuple[str, ...]
@@ -244,6 +331,8 @@ class Database:
         for t in tables:
             # Every row has len(t.columns) values, so zipping one iterator
             # over the encoded values with itself regroups them into rows.
+            # Table rows are distinct and the encoding is injective, so the
+            # encoded rows are distinct too (see `Relation`).
             ids = map(lookup, chain.from_iterable(t.rows))
             rows = tuple(zip(*[ids] * len(t.columns))) if t.columns else t.rows
             weights = None

@@ -5,7 +5,7 @@ entries. An entry is the plain tuple
 (score, tie, valuation, node_score, child_entries, pivot) and stands for one
 whole subtree valuation. `valuation` is its bag valuation and `node_score` the
 node's own contribution to it, computed once per bag valuation by
-`ScoreModel.node_score` and carried over to every sibling; `child_entries`
+`ScoreModel.node_scores` and carried over to every sibling; `child_entries`
 holds one entry per child node, and `pivot` is the lowest child index the
 entry may still advance (Lawler's rule, cursor.py). The score
 combines the node score with the child entries' scores. The tie is the
@@ -21,6 +21,14 @@ Row work is compiled per node: queue keys and child-queue keys are getters
 over the bag valuation (`data.row_getter`), and so is the tie, over the bag
 valuation followed by the child entries' ties; a node whose subtree is its own
 bag uses the valuation itself as the tie.
+
+Set-up runs these getters over whole bags. A node covered by one atom whose
+variables are its bag in order, with no other atom to filter it, takes that
+relation's rows as its bag unchanged. `initialize_queues` builds each node's
+initial entries column by column with C-level `map`/`zip` over the bag: child
+queue heads, `ScoreModel.node_scores`, scores, ties, then the entries. The
+cursor's later entries come one at a time from `new_cell`, which forms score
+and tie by the same rules from the same getters.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .data import Database, Relation, row_getter, semijoin
@@ -40,9 +50,7 @@ from .decomposition import (
 )
 from .errors import DecompositionError, EngineInvariantError, IncompatibleRankingError
 from .query import ConjunctiveQuery
-from .ranking import RankingFunction, ScoreModel, check_compatible
-
-Row = Tuple[int, ...]  # a bag valuation or a key: constant ids
+from .ranking import RankingFunction, Row, ScoreModel, check_compatible
 
 
 @dataclass
@@ -65,27 +73,16 @@ Entry = Tuple[object, Row, Row, object, Tuple, int]
 @dataclass
 class NodeState:
     # Compiled once per node: the queue key of a bag valuation, the key of
-    # the queue it joins at each child, and its tie from the child entries.
+    # the queue it joins at each child, and the entry's tie read off the
+    # valuation followed by the child entries' ties (None: the tie is the
+    # valuation itself).
     key: Callable[[Row], Row]
     child_keys: Tuple[Callable[[Row], Row], ...]
-    make_tie: Callable[[Row, Tuple[Entry, ...]], Row]
+    tie_of: Optional[Callable[[Row], Row]]
     queues: Dict[Row, List[Entry]] = field(default_factory=dict)
     # tie of a consumed non-root entry -> the next entry of its queue, or
     # None when there is none
     succ: Dict[Row, Optional[Entry]] = field(default_factory=dict)
-
-
-def _tie_maker(tie_of: Callable[[Row], Row]) -> Callable[[Row, Tuple[Entry, ...]], Row]:
-    """The function forming an entry's tie, its subtree valuation in head
-    order: `tie_of` reads it off the bag valuation followed by each child
-    entry's tie."""
-
-    def make_tie(valuation, child_entries):
-        for child in child_entries:
-            valuation += child[1]
-        return tie_of(valuation)
-
-    return make_tie
 
 
 def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
@@ -109,10 +106,10 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
         ),
         # A node whose subtree is its bag has the valuation as its tie, since
         # var_order already is the head order.
-        make_tie=(
-            (lambda valuation, child_entries: valuation)
+        tie_of=(
+            None
             if node.subtree_vars == node.bag
-            else _tie_maker(row_getter([first[v] for v in subtree]))
+            else row_getter([first[v] for v in subtree])
         ),
     )
 
@@ -142,18 +139,32 @@ def _hash_join(
 
 def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
     """Join each node's cover atoms, project to the bag, then filter by the
-    atoms assigned to the node (they may constrain the bag beyond the cover)."""
+    atoms assigned to the node (they may constrain the bag beyond the cover).
+
+    A node covered by one atom whose variables are its bag in `var_order`,
+    with no other atom assigned to it, passes that relation's rows through
+    as they are: they are already distinct (see `data.Relation`). Other bags
+    are sorted."""
     q = d.query
+    filters: Dict[int, List[int]] = defaultdict(list)
+    for ai, owner in d.atom_assignment.items():
+        if ai not in d.nodes[owner].cover:
+            filters[owner].append(ai)
     out: Dict[int, Relation] = {}
     for nid, node in d.nodes.items():
         if not node.cover:
             # Synthetic empty bag: the nullary relation with one empty row.
             out[nid] = Relation(f"bag{nid}", (), ((),))
             continue
+        atoms = [q.atoms[ai] for ai in node.cover]
+        if (len(atoms) == 1 and atoms[0].variables == node.var_order
+                and not filters[nid]):
+            rel = db.relation(atoms[0].relation)
+            out[nid] = Relation(f"bag{nid}", node.var_order, rel.rows)
+            continue
         schema: List[str] = []
         rows: List[Tuple[int, ...]] = []
-        for ai in node.cover:
-            atom = q.atoms[ai]
+        for atom in atoms:
             rel = db.relation(atom.relation)
             if not schema:
                 schema, rows = list(atom.variables), list(rel.rows)
@@ -167,9 +178,7 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
         else:
             bag_rows = set(map(row_getter(positions), rows))
         order = {v: i for i, v in enumerate(node.var_order)}
-        for ai, owner in d.atom_assignment.items():
-            if owner != nid or ai in node.cover:
-                continue
+        for ai in filters[nid]:
             atom = q.atoms[ai]
             keep = set(db.relation(atom.relation).rows)
             atom_row = row_getter([order[v] for v in atom.variables])
@@ -244,21 +253,21 @@ def new_cell(
 ) -> Entry:
     """Make the queue entry for `valuation`, whose own score at its node is
     `node_score`, over the given child entries; the caller puts it into the
-    node's queue and counts the insert. The only place an entry's score and
-    tie are formed."""
+    node's queue and counts the insert. Every entry the cursor inserts is
+    made here. `initialize_queues` forms the initial entries in bulk by the
+    same rules: the node score combined with each child's score in child
+    order, and the tie from `NodeState.tie_of`."""
     score = node_score
     combine = model.combine
     for child in child_entries:
         score = combine(score, child[0])
+    tie = valuation
+    if state.tie_of is not None:
+        for child in child_entries:
+            tie += child[1]
+        tie = state.tie_of(tie)
     counters.cells += 1
-    return (
-        score,
-        state.make_tie(valuation, child_entries),
-        valuation,
-        node_score,
-        child_entries,
-        pivot,
-    )
+    return (score, tie, valuation, node_score, child_entries, pivot)
 
 
 def initialize_queues(
@@ -267,36 +276,64 @@ def initialize_queues(
     model: ScoreModel,
     counters: Counters,
 ) -> Dict[int, NodeState]:
+    """Build every node's queues bottom-up. A bag row's initial entry joins
+    the top entry of the child queue under its key at each child, and has
+    pivot 0; each queue is then heapified."""
     states: Dict[int, NodeState] = {}
-    node_score = model.node_score
+    combine = model.combine
+    entry_score, entry_tie = itemgetter(0), itemgetter(1)
     for nid in d.post_order():
         state = _node_state(d, nid)
         states[nid] = state
-        joins = [
-            (c, states[c].queues.get, child_key)
-            for c, child_key in zip(d.nodes[nid].children, state.child_keys)
+        rows = reduced[nid].rows
+        if not rows:
+            continue
+        children = d.nodes[nid].children
+        heads = [
+            _child_heads(nid, c, states[c].queues, child_key, rows)
+            for c, child_key in zip(children, state.child_keys)
         ]
-        key_of = state.key
-        per_key: Dict[Row, List[Entry]] = defaultdict(list)
-        for theta in reduced[nid].rows:
-            child_entries = []
-            for c, child_queue, child_key in joins:
-                heap = child_queue(child_key(theta))
-                if not heap:
-                    raise EngineInvariantError(
-                        f"node {nid}: reduced tuple {theta} has no matching "
-                        f"cell at child {c} (full reducer should prevent this)"
-                    )
-                child_entries.append(heap[0])
-            per_key[key_of(theta)].append(new_cell(
-                state, model, counters, theta, node_score(nid, theta),
-                tuple(child_entries), 0,
-            ))
-        for key, entries in per_key.items():
-            counters.inserts += len(entries)
-            heapq.heapify(entries)
-            state.queues[key] = entries
+        own = list(model.node_scores(nid, rows))
+        scores = own
+        for h in heads:
+            scores = map(combine, scores, map(entry_score, h))
+        ties = rows
+        if state.tie_of is not None:
+            for h in heads:
+                ties = map(add, ties, map(entry_tie, h))
+            ties = map(state.tie_of, ties)
+        child_entries = zip(*heads) if heads else repeat((), len(rows))
+        entries = list(zip(scores, ties, rows, own, child_entries, repeat(0)))
+        counters.cells += len(entries)
+        counters.inserts += len(entries)
+        if d.nodes[nid].key_vars:
+            queues: Dict[Row, List[Entry]] = defaultdict(list)
+            for key, entry in zip(map(state.key, rows), entries):
+                queues[key].append(entry)
+            state.queues = dict(queues)
+        else:
+            state.queues = {(): entries}
+        for heap in state.queues.values():
+            heapq.heapify(heap)
     return states
+
+
+def _child_heads(
+    nid: int,
+    child: int,
+    queues: Dict[Row, List[Entry]],
+    child_key: Callable[[Row], Row],
+    rows: Sequence[Row],
+) -> List[Entry]:
+    """The top entry of the child queue each of `rows` joins."""
+    try:
+        return list(map(itemgetter(0), map(queues.__getitem__, map(child_key, rows))))
+    except KeyError:
+        theta = next(r for r in rows if child_key(r) not in queues)
+        raise EngineInvariantError(
+            f"node {nid}: reduced tuple {theta} has no matching "
+            f"cell at child {child} (full reducer should prevent this)"
+        ) from None
 
 
 def prepare(

@@ -10,9 +10,11 @@ augmentation the determining variables sit inside every key, so all non-root
 partial scores are equal and any queue order there is sound.
 
 `ScoreModel` compiles one scorer per decomposition node when it is built: a
-closure over the node's weight maps and bag positions, so scoring a bag row
-dispatches on nothing. `ScoreModel.node_score` is the entry point that runs
-them; `direct_score` stays a separate, definition-level path for the oracle.
+closure over the node's weight maps and bag positions that scores a whole
+sequence of bag rows as a chain of C-level `map`s, so scoring dispatches on
+nothing and runs no Python code per row. `ScoreModel.node_scores` runs it over
+a node's bag; `ScoreModel.node_score` runs it over one row. `direct_score`
+stays a separate, definition-level path for the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from .data import INT64_MAX, INT64_MIN, Database, row_getter
 from .decomposition import TreeDecomposition
@@ -29,6 +34,10 @@ from .errors import ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
 
 MAX_IDENTITY = float("-inf")
+
+Row = Tuple[int, ...]  # a bag valuation or a queue key: constant ids
+# One score term of a bag valuation: `get(getter(valuation), 0)`.
+Term = Tuple[Callable[[Row], object], Callable]
 
 
 def _combine_max(a, b):
@@ -193,8 +202,8 @@ class ScoreModel:
     """Binds a ranking function to one query/decomposition/database.
 
     At construction it compiles one scorer per node: a closure over that
-    node's weight maps and bag positions. `node_score` is the entry point
-    that runs them."""
+    node's weight maps and bag positions, mapped over a sequence of bag rows.
+    `node_scores` and `node_score` are the entry points that run them."""
 
     def __init__(
         self,
@@ -262,10 +271,10 @@ class ScoreModel:
                     f"{self.db.vertex_weight(bad[0])}"
                 )
 
-    def _compile(self, nid: int, node) -> Callable[[Tuple[int, ...]], object]:
-        """The node's own-score function over its bag valuations. Weight maps,
-        bag positions and the monoid are bound once here, so scoring a row
-        runs no dispatch."""
+    def _compile(self, nid: int, node) -> Callable[[Sequence[Row]], Iterable]:
+        """The node's own-score function over a sequence of its bag
+        valuations. Weight maps, bag positions and the monoid are bound once
+        here, so scoring runs no dispatch."""
         rf, d, db = self.rf, self.decomposition, self.db
         order = {v: i for i, v in enumerate(node.var_order)}
         if rf.kind == "tuple":
@@ -283,11 +292,12 @@ class ScoreModel:
             )
             ranks = tuple(lp for lp, _ in pairs)
             values = row_getter([p for _, p in pairs])
-            return lambda valuation: tuple(zip(ranks, values(valuation)))
+            return lambda rows: map(
+                tuple, map(zip, repeat(ranks), map(values, rows))
+            )
         # bounded: full value at the root, identity elsewhere
-        identity = self.identity
         if nid != d.root:
-            return lambda valuation: identity
+            return self._fold([])
         missing = sorted(rf.bound_vars - set(order))
         if missing:
             raise SchemaError(
@@ -303,36 +313,46 @@ class ScoreModel:
             ])
         return self._fold([_vertex_lookup(db, order[v]) for v in sorted(rf.bound_vars)])
 
-    def _fold(self, terms: List[Callable]) -> Callable[[Tuple[int, ...]], object]:
-        """Combine the terms' values into the identity, left to right."""
+    def _fold(self, terms: List[Term]) -> Callable[[Sequence[Row]], Iterable]:
+        """Combine the terms' values left to right, per row. The fold starts
+        at the first term's value, which equals combining it into the
+        identity under every monoid; with no terms every row scores the
+        identity."""
         identity, combine = self.identity, self.combine
 
-        def score(valuation):
-            acc = identity
-            for term in terms:
-                acc = combine(acc, term(valuation))
+        def scores(rows):
+            if not terms:
+                return repeat(identity, len(rows))
+            columns = [map(get, map(getter, rows), repeat(0)) for getter, get in terms]
+            acc = columns[0]
+            for values in columns[1:]:
+                acc = map(combine, acc, values)
             return acc
 
+        return scores
+
+    def node_scores(self, nid: int, rows: Sequence[Row]) -> Iterable:
+        """Node `nid`'s own contribution for each of `rows`, some of its bag
+        valuations, in order. Lazy: the scores are computed as they are read.
+        `rows` is read once per term, so it must be a sequence."""
+        return self._scorers[nid](rows)
+
+    def node_score(self, nid: int, valuation: Row):
+        """Node `nid`'s own contribution for one of its bag valuations."""
+        (score,) = self._scorers[nid]((valuation,))
         return score
 
-    def node_score(self, nid: int, valuation: Tuple[int, ...]):
-        """Node `nid`'s own contribution for one of its bag valuations: the one
-        place a node score is computed."""
-        return self._scorers[nid](valuation)
 
-
-def _weight_lookup(db: Database, atom, order: Dict[str, int]) -> Callable:
+def _weight_lookup(db: Database, atom, order: Dict[str, int]) -> Term:
     """A bag valuation's weight in `atom`'s relation (0 for tuples outside it,
     as `Relation.weight_of`)."""
     get = (db.relation(atom.relation).weights or {}).get
-    row = row_getter([order[v] for v in atom.variables])
-    return lambda valuation: get(row(valuation), 0)
+    return row_getter([order[v] for v in atom.variables]), get
 
 
-def _vertex_lookup(db: Database, position: int) -> Callable:
+def _vertex_lookup(db: Database, position: int) -> Term:
     """The vertex weight of the constant at one bag position."""
-    get = db.vertex_weights.get
-    return lambda valuation: get(valuation[position], 0)
+    return operator.itemgetter(position), db.vertex_weights.get
 
 
 def probe_decomposable(

@@ -23,7 +23,7 @@ from .result import OutputTuple
 
 def compare_key(t: OutputTuple):
     """Order by score, ties broken by the values in head-variable order."""
-    return (t.score, t.values)
+    return (t[1], t[0])
 
 
 class UnionCursor(Cursor):
@@ -51,7 +51,8 @@ class UnionCursor(Cursor):
                 f"disjunct {idx} emitted out of order: {key} after {self._last[idx]}"
             )
         self._last[idx] = key
-        heapq.heappush(self._heap, (item.score, item.values, idx, item))
+        score, values = key
+        heapq.heappush(self._heap, (score, values, idx, item))
 
     def next(self) -> Optional[OutputTuple]:
         heap, emitted = self._heap, self._emitted

@@ -185,3 +185,38 @@ def test_analyze_builds_one_join_tree(query, monkeypatch):
     monkeypatch.setattr(rankjoin.analysis, "gyo_join_tree", counting)
     analyze(query)
     assert calls == [query]
+
+
+def _all_pairs_diameters(cq):
+    """One BFS from every variable, per component in `component_diameters`'
+    order (components by their smallest variable)."""
+    from rankjoin.analysis import _adjacency, _bfs_distances
+
+    adj = _adjacency(cq)
+    dist = {u: _bfs_distances(adj, u) for u in adj}
+    out, seen = [], set()
+    for u in sorted(adj):
+        if u not in seen:
+            seen |= set(dist[u])
+            out.append(max(max(dist[v].values()) for v in dist[u]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_component_diameters_match_all_pairs_bfs(seed):
+    """Forests of binary atoms take the two-sweep path; extra binary atoms
+    and ternary atoms make cycles in the share-an-atom graph."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    names = [f"v{i}" for i in range(n)]
+    atoms = [(names[i], names[rng.randrange(i)]) for i in range(1, n)
+             if rng.random() < 0.85]
+    if seed % 2:
+        atoms += [tuple(rng.sample(names, min(n, rng.choice([2, 3]))))
+                  for _ in range(rng.randint(1, 3))]
+    atoms += [(v,) for v in names if not any(v in a for a in atoms)]
+    body = ", ".join(f"R{i}({','.join(a)})" for i, a in enumerate(atoms))
+    cq = _cq(f"Q({','.join(names)}) :- {body}")
+    assert component_diameters(cq) == _all_pairs_diameters(cq)
