@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import statistics
 import sys
@@ -276,6 +277,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if len(uq.disjuncts) != 1:
         raise IngestError("bench supports single-disjunct queries only")
     pc = time.perf_counter
+    gc_before = _gc_collections()
     t0 = pc()
     tables, vw = job.load(uq)
     t1 = pc()
@@ -286,6 +288,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t3 = pc()
     prepared = prepare(db, uq.disjuncts[0], rf, decomp)
     t4 = pc()
+    setup_gc = _gc_collections() - gc_before
     cursor = RankedCursor(prepared, stats=True)
     results = cursor.drain_topk(job.k) if job.k is not None else cursor.drain()
     t5 = pc()
@@ -295,6 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for key, value in prepared.setup_stats.items():
         print(f"{key}={value:.6f}" if key.endswith("_seconds") else f"{key}={value}")
     print(f"preprocess_seconds={t4 - t3:.6f}")
+    print(f"setup_gc_collections={setup_gc}")
     print(f"enumerate_seconds={t5 - t4:.6f}")
     print(f"pulls={len(results)}")
     print(f"cells_initial={prepared.initial_cells}")
@@ -305,6 +309,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"max_{label}_per_pull={max(series)}")
         print(f"median_{label}_per_pull={statistics.median(series)}")
     return EXIT_OK
+
+
+def _gc_collections() -> int:
+    """Cyclic GC collections so far, of every generation."""
+    return sum(g["collections"] for g in gc.get_stats())
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

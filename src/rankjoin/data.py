@@ -8,7 +8,9 @@ of equal value ("7", "07", "+7") are distinct constants, ordered by their text,
 so the order never depends on the string hash seed. Both orders are computed by
 C-level sorts: the integer order as a stable sort by `int` over the text-sorted
 domain, and the bytewise order as plain `str` order, which equals UTF-8 byte
-order for every encodable string.
+order for every encodable string. A domain holding a literal past the
+interpreter's digit limit for `int` is sorted by the same order computed from
+the digits (`_int_order`).
 
 Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
@@ -19,6 +21,13 @@ need stripping is decided once per file; the weight column is collected as
 text and checked and converted a block of rows at a time. A failed check
 re-reads the file row by row, so an error names the same row either way.
 
+`load_csv`, `load_vertex_weights`, `Database.build` and `preprocess.prepare`
+run with the cyclic GC paused (`_gc_paused`). What they build forms no
+reference cycle, so a collection during set-up would only traverse it and
+free nothing. On the way out every tracked object, the caller's young ones
+included, moves to the oldest generation without a traversal; a later full
+collection is the first to examine it.
+
 Weights are 64-bit integers; users needing reals are expected to scale to
 fixed-point. Tuples are plain python tuples of ids with a parallel weight map,
 which keeps joins and hashing cheap.
@@ -27,9 +36,11 @@ which keeps joins and hashing cheap.
 from __future__ import annotations
 
 import csv
+import gc
 import re
+import unicodedata
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 from itertools import chain, compress
 from operator import itemgetter
 from typing import (
@@ -50,18 +61,70 @@ _WEIGHT_BLOCK = 4096
 # which a field can hold anything. `\s` and `str.strip` test the same
 # characters (`Py_UNICODE_ISSPACE`).
 _STRIP_NEEDED_RE = re.compile(r'[^\S\r\n]|"')
+# The same characters within ASCII, each found by a C-level substring search.
+_ASCII_STRIP_NEEDED = '\t\x0b\x0c\x1c\x1d\x1e\x1f "'
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
+def _gc_paused(fn: Callable) -> Callable:
+    """Run `fn` with the cyclic GC paused, then move every tracked object,
+    the caller's young ones included, to the oldest generation.
+
+    Set-up builds many thousands of tuples, lists and dicts that form no
+    reference cycle; collections during it would traverse them again and
+    again and free nothing. `gc.freeze()` followed by `gc.unfreeze()`
+    promotes them without a traversal and resets the youngest generation's
+    count, so the next allocation does not start a collection over all of
+    them; they are examined at the next full collection. A caller that
+    disabled the GC, or that froze objects of its own, keeps that state: the
+    GC is then left as it is, or unfrozen objects are not promoted."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        promote = not gc.get_freeze_count()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if promote:
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+    return paused
+
+
 def _parse_weight(text: str, row_no: int, path: str) -> int:
-    if not _INT_RE.match(text.strip()):
+    try:
+        value = int(text) if _INT_RE.match(text.strip()) else None
+    except ValueError:  # past the interpreter's digit limit for `int`
+        value = None
+    if value is None:
         raise IngestError(f"{path}:{row_no}: weight {text!r} is not a 64-bit integer")
-    value = int(text)
     if not (INT64_MIN <= value <= INT64_MAX):
         raise IngestError(f"{path}:{row_no}: weight {value} outside 64-bit range")
     return value
+
+
+_NINES_COMPLEMENT = str.maketrans("0123456789", "9876543210")
+
+
+def _int_order(text: str) -> Tuple[int, int, str, str]:
+    """The order (value, text) of an `_INT_RE` literal, computed without
+    `int`: the sign, then the digit count and the digits, both compared
+    reversed below zero. For literals past the interpreter's digit limit."""
+    body = text.strip()
+    digits = "".join(map(str, map(unicodedata.decimal, body.lstrip("+-"))))
+    digits = digits.lstrip("0")
+    if not digits:
+        return (0, 0, "", text)
+    if body[0] == "-":
+        return (-1, -len(digits), digits.translate(_NINES_COMPLEMENT), text)
+    return (1, len(digits), digits, text)
 
 
 def _take_weights(texts: List[str], weights: List[int]) -> bool:
@@ -89,9 +152,18 @@ def _strip_needed(fh) -> bool:
     """Whether any field of the open file can differ from its stripped text.
     Reads the file in chunks, never all of it at once, and rewinds it."""
     chunks = iter(partial(fh.read, 1 << 20), "")
-    found = any(map(_STRIP_NEEDED_RE.search, chunks))
+    found = any(map(_chunk_strip_needed, chunks))
     fh.seek(0)
     return found
+
+
+def _chunk_strip_needed(chunk: str) -> bool:
+    """Whether `_STRIP_NEEDED_RE` matches somewhere in `chunk`. An ASCII
+    chunk is searched once per character, in C, which is faster than the
+    regex's negated class."""
+    if chunk.isascii():
+        return any(map(chunk.__contains__, _ASCII_STRIP_NEEDED))
+    return _STRIP_NEEDED_RE.search(chunk) is not None
 
 
 def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
@@ -152,13 +224,17 @@ def _dedup_table(
     """Keep the first occurrence of each row; a repeat must repeat its weight."""
     if weights is None:
         return Table(name=name, columns=columns, rows=tuple(dict.fromkeys(rows)))
-    first: Dict[Tuple[str, ...], int] = {}
-    for row, w in zip(rows, weights):
-        if first.setdefault(row, w) != w:
-            raise IngestError(
-                f"{source}: duplicated row {row} with conflicting weights "
-                f"{first[row]} vs {w}"
-            )
+    first: Dict[Tuple[str, ...], int] = dict(zip(rows, weights))
+    if len(first) < len(rows):
+        # Some row repeats; `first` holds its last weight, so check and
+        # rebuild row by row.
+        first = {}
+        for row, w in zip(rows, weights):
+            if first.setdefault(row, w) != w:
+                raise IngestError(
+                    f"{source}: duplicated row {row} with conflicting weights "
+                    f"{first[row]} vs {w}"
+                )
     return Table(
         name=name,
         columns=columns,
@@ -167,6 +243,7 @@ def _dedup_table(
     )
 
 
+@_gc_paused
 def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table:
     """Read a relation from a CSV file with a mandatory header row.
 
@@ -241,6 +318,7 @@ def _raise_first_bad_row(path: str, width: int, widx: Optional[int]) -> NoReturn
     raise IngestError(f"{path}: changed while it was read")
 
 
+@_gc_paused
 def load_vertex_weights(path: str) -> Dict[str, int]:
     """Read a headerless two-column `constant,weight` file.
 
@@ -305,6 +383,7 @@ class Database:
         self.vertex_weights = dict(vertex_weights) if vertex_weights else {}
 
     @classmethod
+    @_gc_paused
     def build(
         cls,
         tables: Iterable[Table],
@@ -324,7 +403,11 @@ class Database:
         # `str` order is code-point order, which UTF-8 byte order preserves.
         decode = sorted(values)
         if all(map(_INT_RE.match, decode)):
-            decode.sort(key=int)
+            try:
+                decode.sort(key=int)
+            except ValueError:
+                # A literal past the interpreter's digit limit for `int`.
+                decode.sort(key=_int_order)
         encode = dict(zip(decode, range(len(decode))))
         lookup = encode.__getitem__
         relations = {}

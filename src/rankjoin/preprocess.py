@@ -13,9 +13,10 @@ subtree valuation itself (in the global variable order). It contains the
 node's key, and Lawler's rule makes each combination of child entries once,
 so no two entries of one node share a tie: entries order as tuples, in C, by
 (score, tie) alone, and `NodeState.succ` memoizes a consumed entry's
-successor under its tie. Entries hold only numbers and tuples, so the cyclic
-GC untracks them once it has seen them, and one nothing references any more
-(a consumed root entry, say) is freed.
+successor under its tie. Entries hold only numbers and tuples and form no
+reference cycle, so one nothing references any more (a consumed root entry,
+say) is freed by its reference count. `prepare` runs with the cyclic GC paused
+(`data._gc_paused`) and leaves what it built in the oldest generation.
 
 Row work is compiled per node: queue keys and child-queue keys are getters
 over the bag valuation (`data.row_getter`), and so is the tie, over the bag
@@ -42,7 +43,7 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .data import Database, Relation, row_getter, semijoin
+from .data import Database, Relation, _gc_paused, row_getter, semijoin
 from .decomposition import (
     TreeDecomposition,
     augment_for_bounded,
@@ -336,6 +337,7 @@ def _child_heads(
         ) from None
 
 
+@_gc_paused
 def prepare(
     db: Database,
     query: ConjunctiveQuery,

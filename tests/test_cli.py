@@ -149,6 +149,29 @@ def test_missing_data_file(workspace, capsys):
     assert main(["topk", *_base_args(workspace), "-k", "1"]) == 2
 
 
+def _one_relation(tmp_path, text):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "R.csv").write_text(text)
+    (tmp_path / "query.txt").write_text("Q(x,y) :- R(x,y)\n")
+    return ["--query", str(tmp_path / "query.txt"), "--data", str(data)]
+
+
+def test_overlong_weight_is_a_validation_error(tmp_path, capsys):
+    args = _one_relation(tmp_path, "x,y,wt\n1,2," + "9" * 5000 + "\n")
+    assert main(["enumerate", *args, "--rank", "tuple_sum",
+                 "--weight-col", "wt"]) == 2
+    assert "R.csv:2: weight '999" in capsys.readouterr().err
+
+
+def test_overlong_integer_constant_enumerates(tmp_path, capsys):
+    nines = "9" * 5000
+    args = _one_relation(tmp_path, f"x,y\n{nines},1\n2,1\n")
+    assert main(["enumerate", *args, "--rank", "vertex_sum"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1] for line in lines] == ["2,1", f"{nines},1"]
+
+
 def test_bench_metrics(workspace, capsys):
     assert main(["bench", *_base_args(workspace)]) == 0
     out = capsys.readouterr().out
@@ -168,7 +191,8 @@ def test_bench_reports_each_setup_phase(workspace, capsys):
     assert list(metrics) == [
         "load_seconds", "encode_seconds", "materialize_seconds",
         "reduce_seconds", "init_queues_seconds", "bag_rows_in", "bag_rows_out",
-        "preprocess_seconds", "enumerate_seconds", "pulls", "cells_initial",
+        "preprocess_seconds", "setup_gc_collections", "enumerate_seconds",
+        "pulls", "cells_initial",
         "cells_total", "cells_created_enum",
         "max_inserts_per_pull", "median_inserts_per_pull",
         "max_pops_per_pull", "median_pops_per_pull",

@@ -14,15 +14,20 @@ import tempfile
 from hypothesis import example, given, settings, strategies as st
 
 from rankjoin import IngestError, SchemaError, Table, load_csv
+from rankjoin.data import _STRIP_NEEDED_RE, _chunk_strip_needed
 
 INT_RE = re.compile(r"^[+-]?\d+$")
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def reference_parse_weight(text, row_no, path):
+    not_int = IngestError(f"{path}:{row_no}: weight {text!r} is not a 64-bit integer")
     if not INT_RE.match(text.strip()):
-        raise IngestError(f"{path}:{row_no}: weight {text!r} is not a 64-bit integer")
-    value = int(text)
+        raise not_int
+    try:
+        value = int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise not_int from None
     if not (INT64_MIN <= value <= INT64_MAX):
         raise IngestError(f"{path}:{row_no}: weight {value} outside 64-bit range")
     return value
@@ -165,10 +170,34 @@ def test_load_csv_matches_reference(case):
 
 
 def test_overlong_integer_matches_reference():
-    """A weight past the interpreter's digit limit fails the same way, and an
-    earlier out-of-range weight is still the one reported."""
-    check("x,w\na," + "9" * 5000 + "\n", "w")
+    """A weight past the interpreter's digit limit is the row's "not a 64-bit
+    integer" error, and an earlier out-of-range weight is still the one
+    reported."""
+    overlong = "x,w\na," + "9" * 5000 + "\n"
+    check(overlong, "w")
     check(f"x,w\na,{2**63}\nb," + "9" * 5000 + "\n", "w")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(overlong)
+        kind, message = outcome(load_csv, path, "w")
+    assert kind is IngestError
+    assert message.startswith(f"{path}:2: weight '999") and message.endswith(
+        "' is not a 64-bit integer")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(["\x85", "\xa0", "\u3000", "\x1c", "\r\n", "\r", "\n",
+                     '"', " ", "\t", "\x0b", "\x0c", "\x1f", "\u2028"]),
+    st.characters(),
+)).map("".join))
+@example("a,b\r\n1,2\r\n")
+@example("a\x85b")
+@example("\u3000")
+def test_chunk_strip_decision_matches_regex(text):
+    """The ASCII fast path decides as the regex does, on any text."""
+    assert _chunk_strip_needed(text) == bool(_STRIP_NEEDED_RE.search(text))
 
 
 def _long_file(n, bad_at=(), ragged_at=()):

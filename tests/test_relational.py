@@ -17,6 +17,7 @@ from rankjoin import (
     load_vertex_weights,
     semijoin,
 )
+from rankjoin.data import _INT_RE, _int_order
 
 
 def _write(tmp_path, name, text):
@@ -104,6 +105,12 @@ class TestVertexWeights:
         with pytest.raises(IngestError):
             load_vertex_weights(path)
 
+    def test_overlong_weight_is_an_ingest_error(self, tmp_path):
+        """A weight past the interpreter's digit limit for `int`."""
+        path = _write(tmp_path, "vw.csv", "a,3\nb," + "9" * 5000 + "\n")
+        with pytest.raises(IngestError, match=r":2: weight '9+' is not a 64-bit"):
+            load_vertex_weights(path)
+
 
 class TestDatabase:
     def test_numeric_domain_order(self):
@@ -152,6 +159,33 @@ class TestDatabase:
             want = sorted(values, key=lambda v: v.encode("utf-8"))
         assert [db.decode(i) for i in range(len(values))] == want
         assert [db.encode(v) for v in want] == list(range(len(values)))
+
+    def test_overlong_integer_constants_keep_numeric_order(self):
+        """Literals past the interpreter's digit limit for `int` still order
+        by value, then by text."""
+        nines = "9" * 5000
+        values = [nines, "-" + nines, "+" + nines, "0" * 4999 + "2", "10", "-3",
+                  "0", "-" + nines[:-1], nines[:-1] + "8"]
+        db = Database.build([Table.from_rows("R", ("x",), [(v,) for v in values])])
+        want = ["-" + nines, "-" + nines[:-1], "-3", "0", "0" * 4999 + "2", "10",
+                nines[:-1] + "8", "+" + nines, nines]
+        assert [db.decode(i) for i in range(len(values))] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 3),
+        st.text(st.characters(categories=["Nd"]), min_size=1, max_size=6),
+        st.sampled_from(["", "\n"]),
+    ).map(lambda t: t[0] + "0" * t[1] + t[2] + t[3]), max_size=12))
+    def test_int_order_without_int_matches_int(self, values):
+        """`_int_order`, the order used when `int` refuses a literal, agrees
+        with (int(v), v) on every literal `int` accepts: signs, leading
+        zeros, non-ASCII decimal digits and the one trailing newline
+        `_INT_RE` allows."""
+        assert all(map(_INT_RE.match, values))
+        assert sorted(values, key=_int_order) == sorted(
+            values, key=lambda v: (int(v), v))
 
     def test_mixed_domain_is_bytewise(self):
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("a",)])

@@ -1,0 +1,158 @@
+"""Set-up entry points run with the cyclic GC paused.
+
+`load_csv`, `load_vertex_weights`, `Database.build` and `prepare` disable the
+GC while they run and, on the way out, promote every tracked object to the
+oldest generation. These tests pin what a caller can observe: the GC's
+enabled state and frozen objects are as they were, whether the call returns
+or raises, and the youngest generation starts empty. Pausing is safe only
+because set-up and enumeration make no reference cycles; the last test checks
+that on every corpus shape and ranking."""
+
+import gc
+import sys
+
+import pytest
+
+from rankjoin import (
+    Database,
+    DecompositionError,
+    IncompatibleRankingError,
+    IngestError,
+    RankedCursor,
+    SchemaError,
+    Table,
+    load_csv,
+    load_vertex_weights,
+    parse_decomposition,
+    parse_query,
+    parse_ranking,
+    prepare,
+)
+
+from helpers import RANK_SPECS, SHAPES, long_path, random_instance
+
+PATH_QUERY = parse_query("Q(x,y,z) :- R(x,y), S(y,z)").disjuncts[0]
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the GC's enabled state and frozen objects after the test."""
+    enabled = gc.isenabled()
+    yield
+    gc.unfreeze()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _path_db():
+    return Database.build([
+        Table.from_rows("R", ("x", "y"), [("1", "2"), ("2", "2")], weights=[1, 2]),
+        Table.from_rows("S", ("y", "z"), [("2", "3")], weights=[4]),
+    ])
+
+
+def _calls(tmp_path):
+    """(label, call that returns, call that raises, the error it raises)."""
+    good = _write(tmp_path, "good.csv", "x,y,w\n1,2,3\n2,2,4\n")
+    bad_weight = _write(tmp_path, "bad.csv", "x,y,w\n1,2,3\n2,2,x\n")
+    vw_good = _write(tmp_path, "vw.csv", "1,5\n2,6\n")
+    vw_bad = _write(tmp_path, "vw_bad.csv", "1,5\n2,x\n")
+    deep_query, deep_decomp = long_path(sys.getrecursionlimit() // 2 + 2)
+    deep_cq = parse_query(deep_query).disjuncts[0]
+    root_lacks_z = parse_decomposition(
+        "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nroot 0\nedge 0 1\n",
+        PATH_QUERY,
+    )
+    return [
+        ("load_csv, bad weight",
+         lambda: load_csv(good, "R", weight_column="w"),
+         lambda: load_csv(bad_weight, "R", weight_column="w"), IngestError),
+        ("load_csv, missing weight column",
+         lambda: load_csv(good, "R"),
+         lambda: load_csv(good, "R", weight_column="v"), SchemaError),
+        ("load_vertex_weights",
+         lambda: load_vertex_weights(vw_good),
+         lambda: load_vertex_weights(vw_bad), IngestError),
+        ("Database.build",
+         _path_db,
+         lambda: Database.build([None]), AttributeError),
+        ("prepare, too deep",
+         lambda: prepare(_path_db(), PATH_QUERY, parse_ranking("tuple_sum")),
+         lambda: prepare(Database.build([]), deep_cq, parse_ranking("tuple_sum"),
+                         parse_decomposition(deep_decomp, deep_cq)),
+         DecompositionError),
+        ("prepare, incompatible",
+         lambda: prepare(_path_db(), PATH_QUERY, parse_ranking("tuple_sum")),
+         lambda: prepare(_path_db(), PATH_QUERY,
+                         parse_ranking("bounded(tuple_sum; z)"), root_lacks_z),
+         IncompatibleRankingError),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_survives_return_and_raise(tmp_path, gc_state, enabled):
+    """A caller's enabled GC is enabled again afterwards, and a caller's
+    `gc.disable()` is never undone, on return and on raise alike."""
+    for label, ok, fail, error in _calls(tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        ok()
+        assert gc.isenabled() is enabled, f"{label}: after return"
+        with pytest.raises(error):
+            fail()
+        assert gc.isenabled() is enabled, f"{label}: after raise"
+
+
+def test_set_up_leaves_the_youngest_generation_empty(tmp_path, gc_state):
+    """Set-up allocates far more than one generation-0 threshold, and its
+    objects are promoted on the way out, so the count starts again near 0."""
+    rows = "".join(f"{i},{i % 97},{i}\n" for i in range(5000))
+    path = _write(tmp_path, "big.csv", "x,y,w\n" + rows)
+    gc.enable()
+    for call in (
+        lambda: load_csv(path, "R", weight_column="w"),
+        lambda: Database.build([load_csv(path, "R", weight_column="w")]),
+    ):
+        result = call()
+        assert gc.get_count()[0] < 50
+        del result
+
+
+def test_frozen_objects_stay_frozen(tmp_path, gc_state):
+    """Objects the caller froze are not moved back into a generation."""
+    gc.enable()
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    prepare(_path_db(), PATH_QUERY, parse_ranking("tuple_sum"))
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_set_up_and_enumeration_leave_no_cycles(gc_state):
+    """Every object set-up and a full drain make is freed by its reference
+    count: a collection afterwards finds nothing unreachable."""
+    gc.enable()
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for shape in sorted(SHAPES):
+            for spec in RANK_SPECS[shape]:
+                db, uq, decomp = random_instance(shape, 7)
+                rf = parse_ranking(spec)
+                cursor = RankedCursor(prepare(db, uq.disjuncts[0], rf, decomp))
+                assert cursor.drain()
+                del db, uq, decomp, rf, cursor
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
