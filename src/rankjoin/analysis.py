@@ -4,8 +4,10 @@ Two structural conditions decide whether logarithmic-delay ranked enumeration
 is attainable for whole families of ranking functions: the coordinate
 condition (no atom pair with two or more private variables on each side) and
 the edge condition (every connected component has hypergraph diameter at most
-3). The generators build the matching worst-case instances so a user can
-benchmark what happens when a condition fails.
+3). The search for each component's diameter also yields a vertex pair at
+that distance, the edge condition's witness. The generators build the matching
+worst-case instances so a user can benchmark what happens when a condition
+fails.
 """
 
 from __future__ import annotations
@@ -42,30 +44,44 @@ def _bfs_distances(adj: Dict[str, set], start: str) -> Dict[str, int]:
     return dist
 
 
-def component_diameters(cq: ConjunctiveQuery) -> List[int]:
-    """Diameter of each variable-connected component: the maximum over vertex
-    pairs of the shortest alternating vertex-edge path length, computed as BFS
-    distance in the share-an-atom graph.
+def _diameter_pairs(cq: ConjunctiveQuery) -> List[Tuple[int, str, str]]:
+    """Each variable-connected component's diameter and a vertex pair at that
+    distance, smaller name first; components ordered by smallest variable.
 
-    A component whose graph is a tree (one edge fewer than vertices) takes two
-    BFS sweeps: the vertex farthest from any start is one end of a longest
-    path. Other components take one BFS per vertex."""
+    The diameter is the maximum over vertex pairs of the shortest alternating
+    vertex-edge path length, computed as BFS distance in the share-an-atom
+    graph. A component whose graph is a tree (one edge fewer than vertices)
+    takes two BFS sweeps: the vertex farthest from any start is one end of a
+    longest path. Other components take one BFS per vertex. Equally far
+    vertices are told apart by name, so the pair does not depend on set
+    order."""
     adj = _adjacency(cq)
     unseen = set(adj)
     out = []
     while unseen:
         start = min(unseen)
         dist = _bfs_distances(adj, start)
-        comp = set(dist)
-        unseen -= comp
-        edges = sum(len(adj[v]) for v in comp) // 2
-        if edges == len(comp) - 1:
-            far = max(dist, key=dist.__getitem__)
-            diam = max(_bfs_distances(adj, far).values())
-        else:
-            diam = max(max(_bfs_distances(adj, v).values()) for v in comp)
-        out.append(diam)
+        unseen -= dist.keys()
+        edges = sum(len(adj[v]) for v in dist) // 2
+        ends = [_farthest(dist)] if edges == len(dist) - 1 else sorted(dist)
+        best = (-1, start, start)
+        for u in ends:
+            from_u = _bfs_distances(adj, u)
+            v = _farthest(from_u)
+            if from_u[v] > best[0]:
+                best = (from_u[v], *sorted((u, v)))
+        out.append(best)
     return out
+
+
+def _farthest(dist: Dict[str, int]) -> str:
+    """The vertex farthest in `dist`; the smallest name among ties."""
+    return min(dist, key=lambda v: (-dist[v], v))
+
+
+def component_diameters(cq: ConjunctiveQuery) -> List[int]:
+    """Diameter of each variable-connected component (see `_diameter_pairs`)."""
+    return [d for d, _, _ in _diameter_pairs(cq)]
 
 
 def diameter(cq: ConjunctiveQuery) -> int:
@@ -135,16 +151,17 @@ def check_edge_dichotomy(
     cq: ConjunctiveQuery,
 ) -> Tuple[Optional[bool], Optional[Tuple[str, str, int]]]:
     """Feasible iff every connected component has diameter at most 3.
-    The witness is a vertex pair at distance 4 or more."""
-    return _edge(cq) if _is_acyclic(cq) else (None, None)
+    The witness is a vertex pair at the diameter of the first component
+    whose diameter is 4 or more."""
+    return _edge(_diameter_pairs(cq)) if _is_acyclic(cq) else (None, None)
 
 
-def _edge(cq: ConjunctiveQuery) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
-    adj = _adjacency(cq)
-    for u in sorted(adj):
-        for v, d in sorted(_bfs_distances(adj, u).items()):
-            if d > 3:
-                return False, (u, v, d)
+def _edge(
+    pairs: List[Tuple[int, str, str]],
+) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
+    for d, u, v in pairs:
+        if d > 3:
+            return False, (u, v, d)
     return True, None
 
 
@@ -159,7 +176,8 @@ def _is_acyclic(cq: ConjunctiveQuery) -> bool:
 def analyze(cq: ConjunctiveQuery) -> FeasibilityReport:
     acyclic = _is_acyclic(cq)
     coord_ok, coord_wit = _coordinate(cq) if acyclic else (None, None)
-    edge_ok, edge_wit = _edge(cq) if acyclic else (None, None)
+    pairs = _diameter_pairs(cq)
+    edge_ok, edge_wit = _edge(pairs) if acyclic else (None, None)
     return FeasibilityReport(
         query_name=cq.name,
         acyclic=acyclic,
@@ -167,7 +185,7 @@ def analyze(cq: ConjunctiveQuery) -> FeasibilityReport:
         coordinate_witness=coord_wit,
         edge_ok=edge_ok,
         edge_witness=edge_wit,
-        diameters=tuple(component_diameters(cq)),
+        diameters=tuple(d for d, _, _ in pairs),
     )
 
 

@@ -172,14 +172,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
     job = Job(args)
     uq = job.query()
     rf = parse_ranking(job.rank_spec) if job.rank_spec else None
-    decomp = None
+    bound = rf.bound_vars if rf is not None else frozenset()
     for i, cq in enumerate(uq.disjuncts):
         if len(uq.disjuncts) > 1:
             print(f"disjunct {i + 1}: {cq}")
         else:
             print(f"query: {cq}")
         try:
-            decomp = job.decomposition(uq) or gyo_join_tree(cq)
+            decomp = job.decomposition(uq) or augment_for_bounded(
+                gyo_join_tree(cq), bound
+            )
         except CyclicQueryError as e:
             residue = ", ".join(str(a) for a in e.residue)
             print(
@@ -188,8 +190,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
-        if rf is not None and rf.kind == "bounded" and not job.decomp_path:
-            decomp = augment_for_bounded(decomp, rf.bound_vars)
         print(f"width: {decomp.width}")
         _print_tree(decomp)
         if rf is not None:

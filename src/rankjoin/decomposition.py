@@ -2,8 +2,9 @@
 
 Every node carries the derived sets used by the engine: key(t) = bag shared
 with the parent, val(t) = the rest of the bag, subtree(t) = union of bags
-below. Width is the exact minimum integral edge cover per bag, found by
-exhaustive subset search over the atoms that meet the bag.
+below. Width is the exact minimum integral edge cover per bag. A nonempty
+bag whose cover is one atom has width 1, as every GYO node does; other bags
+take an exhaustive subset search over the atoms that meet the bag.
 
 GYO sweeps each component's non-root atoms in index order. An atom is an ear
 when another remaining atom holds every variable it shares; the lowest-index
@@ -13,10 +14,12 @@ other atom can have become an ear. That is near-linear when each variable is
 in few atoms; a variable in every atom (a star) makes each ear test and each
 removal walk all its holders, so stars stay quadratic.
 
-`_build` links each tree once and rejects unknown nodes and variables and
-nodes the root does not reach (cycles included: a node has one parent); keys
-are bag ∩ parent bag by construction. `validate` checks what a decomposition
-file can get wrong: atom coverage, running intersection, and covers.
+`parse_decomposition` rejects a malformed line, a repeated `node` id, a second
+`root` line and a second parent for a node, naming the line. `_build` links
+each tree once and rejects unknown nodes and variables and nodes the root does
+not reach (cycles included: a node has one parent); keys are bag ∩ parent bag
+by construction. `validate` checks what a decomposition file can get wrong:
+atom coverage, running intersection, and covers.
 """
 
 from __future__ import annotations
@@ -148,7 +151,10 @@ def _build(
     width = 0
     assignment: Dict[int, int] = {}
     for nid in sorted(bags):
-        width = max(width, len(min_edge_cover(bags[nid], q)))
+        # One atom is a minimum cover of a nonempty bag (`validate` checks
+        # that it covers the bag), so only other bags need the search.
+        one = bags[nid] and len(covers[nid]) == 1
+        width = max(width, 1 if one else len(min_edge_cover(bags[nid], q)))
         for ai in covers[nid]:
             # Tuple weights are charged where the atom is assigned, so the
             # bag must bind every variable of the atom.
@@ -192,13 +198,12 @@ def validate(d: TreeDecomposition) -> None:
 
 def private_pair(q: ConjunctiveQuery) -> Optional[Tuple[Atom, Atom]]:
     """The first atom pair with two or more private variables on each side."""
-    for i, a in enumerate(q.atoms):
-        for b in q.atoms[i + 1 :]:
-            if (
-                len(set(a.variables) - set(b.variables)) >= 2
-                and len(set(b.variables) - set(a.variables)) >= 2
-            ):
-                return a, b
+    sets = [set(a.variables) for a in q.atoms]
+    for i, a in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            shared = len(a & sets[j])
+            if len(a) - shared >= 2 and len(sets[j]) - shared >= 2:
+                return q.atoms[i], q.atoms[j]
     return None
 
 
@@ -321,11 +326,10 @@ def parse_decomposition(text: str, q: ConjunctiveQuery) -> TreeDecomposition:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 1)
-        kind = parts[0]
+        kind, *args = line.split()
         if kind == "node":
             try:
-                head, rest = parts[1].split(":", 1)
+                head, rest = " ".join(args).split(":", 1)
                 nid = int(head)
                 brace_open = rest.index("{")
                 brace_close = rest.index("}")
@@ -345,18 +349,37 @@ def parse_decomposition(text: str, q: ConjunctiveQuery) -> TreeDecomposition:
                             )
                         idxs.append(name_to_idx[nm])
                     cover = tuple(idxs)
-            except (ValueError, IndexError):
+            except ValueError:
                 raise DecompositionError(
                     f"line {line_no}: cannot parse node line {raw!r}"
                 ) from None
+            if nid in bags:
+                raise DecompositionError(f"line {line_no}: node {nid} is repeated")
             bags[nid] = bag
             covers[nid] = cover
             parents.setdefault(nid, None)
-        elif kind == "root":
-            root = int(parts[1])
-        elif kind == "edge":
-            p, c = (int(x) for x in parts[1].split())
-            parents[c] = p
+        elif kind in ("root", "edge"):
+            try:
+                ids = [int(x) for x in args]
+            except ValueError:
+                ids = []
+            if len(ids) != (1 if kind == "root" else 2):
+                raise DecompositionError(
+                    f"line {line_no}: cannot parse {kind} line {raw!r}"
+                )
+            if kind == "root":
+                if root is not None:
+                    raise DecompositionError(
+                        f"line {line_no}: second root line (root is {root})"
+                    )
+                root = ids[0]
+            else:
+                p, c = ids
+                if parents.get(c) is not None:
+                    raise DecompositionError(
+                        f"line {line_no}: node {c} already has parent {parents[c]}"
+                    )
+                parents[c] = p
         else:
             raise DecompositionError(f"line {line_no}: unknown directive {kind!r}")
     if root is None:

@@ -347,9 +347,7 @@ def prepare(
     """End-to-end preprocessing; builds a join tree when none is supplied."""
     d = decomposition
     if d is None:
-        d = gyo_join_tree(query)
-        if rf.kind == "bounded":
-            d = augment_for_bounded(d, rf.bound_vars)
+        d = augment_for_bounded(gyo_join_tree(query), rf.bound_vars)
     # The cursor's walk recurses once per tree level; half the interpreter's
     # recursion limit is left to its callers.
     depth, limit = d.depth(), sys.getrecursionlimit() // 2

@@ -140,10 +140,6 @@ def parse_query(text: str) -> UnionQuery:
     return UnionQuery(tuple(disjuncts))
 
 
-def render_query(q: UnionQuery) -> str:
-    return str(q)
-
-
 def atom_components(cq: ConjunctiveQuery) -> List[List[int]]:
     """Group atom indices into maximal variable-connected components, each
     sorted, ordered by their smallest index."""

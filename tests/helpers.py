@@ -66,6 +66,24 @@ def long_path(n: int) -> Tuple[str, str]:
     return f"Q({head}) :- {atoms}", "\n".join(lines) + "\n"
 
 
+def star(n: int) -> str:
+    """Query text of the n-arm star R0(x,y0), ..., R{n-1}(x,y{n-1})."""
+    head = ",".join(["x"] + [f"y{i}" for i in range(n)])
+    atoms = ", ".join(f"R{i}(x,y{i})" for i in range(n))
+    return f"Q({head}) :- {atoms}"
+
+
+def spider(legs: int) -> str:
+    """Query text of a spider: legs of length two out of a centre c,
+    R{i}(c,a{i}), S{i}(a{i},b{i}). Its diameter is 4, between any two leg
+    ends."""
+    head = ",".join(["c"] + [f"{v}{i}" for i in range(legs) for v in "ab"])
+    atoms = ", ".join(
+        f"R{i}(c,a{i}), S{i}(a{i},b{i})" for i in range(legs)
+    )
+    return f"Q({head}) :- {atoms}"
+
+
 def random_instance(shape: str, seed: int):
     """Random weighted tables for one corpus shape, plus query/decomposition."""
     query_text, decomp_text = SHAPES[shape]

@@ -94,6 +94,12 @@ class TestDichotomies:
         assert check_coordinate_dichotomy(tri) == (None, None)
         assert check_edge_dichotomy(tri) == (None, None)
 
+    def test_witness_when_the_graph_has_a_cycle(self):
+        # R's three variables form a triangle in the share-an-atom graph, so
+        # the diameter takes one BFS per vertex; a and b both reach f in 4.
+        q = _cq("Q(a,b,c,d,e,f) :- R(a,b,c), S(c,d), T(d,e), U(e,f)")
+        assert check_edge_dichotomy(q) == (False, ("a", "f", 4))
+
     def test_analyze_report(self):
         r = analyze(PATH4)
         assert r.acyclic and r.coordinate_ok is False and r.edge_ok is False
@@ -219,4 +225,23 @@ def test_component_diameters_match_all_pairs_bfs(seed):
     atoms += [(v,) for v in names if not any(v in a for a in atoms)]
     body = ", ".join(f"R{i}({','.join(a)})" for i, a in enumerate(atoms))
     cq = _cq(f"Q({','.join(names)}) :- {body}")
-    assert component_diameters(cq) == _all_pairs_diameters(cq)
+    want = _all_pairs_diameters(cq)
+    assert component_diameters(cq) == want
+
+    # The edge witness is a pair at the first diameter past 3.
+    from rankjoin.analysis import _adjacency, _bfs_distances
+
+    ok, witness = check_edge_dichotomy(cq)
+    if not analyze(cq).acyclic:
+        assert (ok, witness) == (None, None)
+        return
+    assert ok == all(d <= 3 for d in want)
+    if ok:
+        assert witness is None
+        return
+    u, v, d = witness
+    adj = _adjacency(cq)
+    dist = {w: _bfs_distances(adj, w) for w in adj}
+    assert u < v and dist[u][v] == d
+    assert d == max(max(dist[w].values()) for w in dist[u])
+    assert d == next(x for x in want if x > 3)

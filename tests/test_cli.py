@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rankjoin
 from rankjoin.cli import main
 
-from helpers import RUNNING_QUERY, long_path
+from helpers import RUNNING_QUERY, long_path, spider, star
 
 
 RUNNING_TABLES = {
@@ -243,6 +246,26 @@ def test_decomp_edge_to_unknown_child_exit_code(workspace, tmp_path, capsys):
     assert "node 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines, err",
+    [
+        ("root zero", "line 3: cannot parse root line"),
+        ("root 1\nedge 1", "line 4: cannot parse edge line"),
+        ("root 1\nedge 1 x", "line 4: cannot parse edge line"),
+        ("root 1\nedge 1 2 3", "line 4: cannot parse edge line"),
+        ("root 1\nroot 2", "line 4: second root line"),
+        ("node 1: {x,y} cover R1\nroot 1", "line 3: node 1 is repeated"),
+        ("root 1\nedge 1 2\nedge 2 2", "line 5: node 2 already has parent 1"),
+    ],
+)
+def test_malformed_decomp_lines_exit_code(workspace, tmp_path, capsys, lines, err):
+    decomp = tmp_path / "d.txt"
+    decomp.write_text(f"node 1: {{x,y}} cover R1\nnode 2: {{y,z}} cover R2\n{lines}\n")
+    args = _base_args(workspace, "--decomp", str(decomp))
+    assert main(["enumerate", *args]) == 2
+    assert err in capsys.readouterr().err
+
+
 def test_union_under_tuple_weights_prints_each_output_once(tmp_path, capsys):
     # Output 1,2,3 scores 10 through S and 5 through T: it ranks at 5.
     data = tmp_path / "data"
@@ -280,3 +303,36 @@ def test_plan_on_2000_atom_path(tmp_path, capsys):
     assert main(["plan", "--query", str(tmp_path / "query.txt")]) == 0
     out = capsys.readouterr().out
     assert "  " * 1999 + "node 1999: bag {v1999,v2000} key [v1999]" in out
+
+
+def test_plan_on_2000_arm_star(tmp_path, capsys):
+    (tmp_path / "query.txt").write_text(star(2000) + "\n")
+    assert main(["plan", "--query", str(tmp_path / "query.txt")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in ("width: 1", "diameters: 2", "coordinate condition: ok",
+                 "edge condition: ok"):
+        assert line in out
+
+
+def test_plan_witness_does_not_follow_the_hash_seed(tmp_path):
+    """Every pair of the spider's leg ends is at its diameter; equally far
+    vertices are told apart by name, whatever the set order."""
+    (tmp_path / "query.txt").write_text(spider(5) + "\n")
+    script = (
+        "import sys\n"
+        "from rankjoin.cli import main\n"
+        "sys.exit(main(['plan', '--query', sys.argv[1]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rankjoin.__file__))
+    witnesses = set()
+    for seed in (0, 3):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "query.txt")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        witnesses |= {
+            line for line in run.stdout.splitlines()
+            if line.startswith("edge condition:")
+        }
+    assert witnesses == {"edge condition: violated (b0..b1 at distance 4)"}

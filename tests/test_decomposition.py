@@ -319,3 +319,41 @@ class TestFileErrors:
             match=r"node 0: bag \['x', 'y', 'z'\] not covered by its atoms",
         ):
             parse_decomposition("node 0: {x,y,z} cover R\nroot 0\n", _cq(TRIANGLE))
+
+    @pytest.mark.parametrize(
+        "tail, err",
+        [
+            ("root zero", "line 2: cannot parse root line"),
+            ("root", "line 2: cannot parse root line"),
+            ("root 0\nedge 0", "line 3: cannot parse edge line"),
+            ("root 0\nedge 0 x", "line 3: cannot parse edge line"),
+            ("root 0\nedge 0 1 2", "line 3: cannot parse edge line"),
+            ("root 0\nroot 0", r"line 3: second root line \(root is 0\)"),
+            ("node 0: {x} cover R\nroot 0", "line 2: node 0 is repeated"),
+        ],
+    )
+    def test_malformed_or_repeated_directive(self, tail, err):
+        text = f"node 0: {{x,y}} cover R\n{tail}\n"
+        with pytest.raises(DecompositionError, match=err):
+            parse_decomposition(text, _cq("Q(x,y) :- R(x,y)"))
+
+    def test_second_parent(self):
+        text = (
+            "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nnode 2: {x,y} cover T\n"
+            "root 0\nedge 0 1\nedge 2 1\nedge 0 2\n"
+        )
+        q = _cq("Q(x,y,z) :- R(x,y), S(y,z), T(y,x)")
+        with pytest.raises(
+            DecompositionError, match="line 6: node 1 already has parent 0"
+        ):
+            parse_decomposition(text, q)
+
+
+def test_redundant_cover_keeps_the_minimum_width():
+    """A bag's width is its minimum cover, not the cover the file lists."""
+    text = (
+        "node 0: {x,y} cover R,T\nnode 1: {y,z} cover S\nroot 0\nedge 0 1\n"
+    )
+    d = parse_decomposition(text, _cq("Q(x,y,z) :- R(x,y), S(y,z), T(x)"))
+    assert d.nodes[0].cover == (0, 2)
+    assert d.width == 1
