@@ -88,41 +88,6 @@ def diameter(cq: ConjunctiveQuery) -> int:
     return max(component_diameters(cq), default=0)
 
 
-def exact_diameter(cq: ConjunctiveQuery) -> int:
-    """Reference diameter with the distinct-vertex/distinct-edge path rule
-    enforced literally (exponential; used to cross-check the BFS version on
-    small queries)."""
-    variables = sorted(cq.variables)
-    edges = [frozenset(a.variables) for a in cq.atoms]
-
-    def shortest(u: str, v: str) -> Optional[int]:
-        best = None
-        stack = [(u, frozenset([u]), frozenset(), 0)]
-        while stack:
-            cur, used_v, used_e, k = stack.pop()
-            if cur == v:
-                best = k if best is None else min(best, k)
-                continue
-            if best is not None and k >= best:
-                continue
-            for ei, edge in enumerate(edges):
-                if cur not in edge or ei in used_e:
-                    continue
-                for nxt in edge:
-                    if nxt in used_v:
-                        continue
-                    stack.append((nxt, used_v | {nxt}, used_e | {ei}, k + 1))
-        return best
-
-    diam = 0
-    for i, u in enumerate(variables):
-        for v in variables[i + 1 :]:
-            d = shortest(u, v)
-            if d is not None:
-                diam = max(diam, d)
-    return diam
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     query_name: str

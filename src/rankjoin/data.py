@@ -5,20 +5,26 @@ The id order agrees with the raw-value order (numeric when every domain value
 parses as an integer, bytewise lexicographic otherwise) and is frozen once the
 database is built, so lexicographic rankings are well-defined. Integer literals
 of equal value ("7", "07", "+7") are distinct constants, ordered by their text,
-so the order never depends on the string hash seed. Both orders are computed by
-C-level sorts: the integer order as a stable sort by `int` over the text-sorted
-domain, and the bytewise order as plain `str` order, which equals UTF-8 byte
-order for every encodable string. A domain holding a literal past the
-interpreter's digit limit for `int` is sorted by the same order computed from
-the digits (`_int_order`).
+so the order depends on the values alone: not on the string hash seed, nor on
+the order rows are read in. `Database.build` collects the domain once, in
+first-appearance order, into the dict that then maps each value to its id.
+Whether the domain is all integers is decided by one `isdecimal` test over its
+join, and value by value only when that test fails. Both orders are computed
+by C-level sorts: the integer order as a stable sort by `int` (by length, for
+plain ASCII numerals) over the text-sorted domain, and the bytewise order as
+plain `str` order, which equals UTF-8 byte order for every encodable string. A
+domain holding a literal past the interpreter's digit limit for `int` is
+sorted by the same order computed from the digits (`_int_order`).
 
 Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
 
-`load_csv` streams the file through `csv.reader` and does per row only the
-blank-line skip, the width check and the column projection. Whether fields
-need stripping is decided once per file; the weight column is collected as
-text and checked and converted a block of rows at a time. A failed check
+`load_csv` reads the file through `csv.reader` in blocks of records. A block
+whose records all have the header's width holds no blank row (past one field
+a row cannot be blank), so its rows are projected and its weight column
+checked and converted by C-level maps over the block. Only a block with a
+blank row or a wrong width, a one-column file, or a file whose fields need
+stripping (decided once per file) is checked row by row. A failed check
 re-reads the file row by row, so an error names the same row either way.
 
 `load_csv`, `load_vertex_weights`, `Database.build` and `preprocess.prepare`
@@ -41,7 +47,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import partial, wraps
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
@@ -52,9 +58,10 @@ from .errors import IngestError, SchemaError
 _INT_RE = re.compile(r"^[+-]?\d+$")
 # A weight column's texts joined by newlines, each one an `_INT_RE` match.
 _INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
-# Weight texts are parsed this many at a time. Texts kept to the end of the
-# file would sit between the rows' values in memory, and `Database.build`
-# reads values spread that way more slowly.
+# Reader records are checked, projected and their weights parsed this many at
+# a time. Weight texts kept to the end of the file would sit between the
+# rows' values in memory, and `Database.build` reads values spread that way
+# more slowly.
 _WEIGHT_BLOCK = 4096
 # What can make a field differ from its stripped text: whitespace other than
 # line ends, which the reader consumes outside quotes, and the quote, inside
@@ -127,13 +134,24 @@ def _int_order(text: str) -> Tuple[int, int, str, str]:
     return (1, len(digits), digits, text)
 
 
+def _leading_zero(numerals: List[str]) -> bool:
+    """Whether a text-sorted list of ASCII digit strings holds one with a
+    leading zero. Those sort first, right after "0" itself."""
+    head = numerals[1:2] if numerals[:1] == ["0"] else numerals[:1]
+    return bool(head) and head[0].startswith("0")
+
+
 def _take_weights(texts: List[str], weights: List[int]) -> bool:
     """Move the values of a block of stripped weight texts onto `weights`.
     False, with nothing moved, when one of them is not a 64-bit integer
     literal (`_parse_weight` then names it)."""
     if not texts:
         return True
-    if not _INT_COLUMN_RE.fullmatch("\n".join(texts)):
+    # Unsigned digit strings pass the `isdecimal` test of their join without
+    # the regex; an empty text, which the join hides, then fails at `int`.
+    if not "".join(texts).isdecimal() and not _INT_COLUMN_RE.fullmatch(
+        "\n".join(texts)
+    ):
         return False
     try:
         values = list(map(int, texts))
@@ -144,7 +162,6 @@ def _take_weights(texts: List[str], weights: List[int]) -> bool:
     if min(values) < INT64_MIN or max(values) > INT64_MAX:
         return False
     weights += values
-    texts.clear()
     return True
 
 
@@ -272,31 +289,45 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
             widx = header.index(weight_column)
         keep = row_getter([i for i in range(width) if i != widx])
         columns = keep(header)
+        # Past one field a row cannot be blank, so unless fields need
+        # stripping, a block whose rows all have the header's width needs no
+        # per-row check.
+        bulk = width > 1 and not strip
         rows: List[Tuple[str, ...]] = []
-        add_row = rows.append
-        texts: List[str] = []
-        add_text = texts.append
         weights: List[int] = []
-        for raw in reader:
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != width:
+        while True:
+            block = list(islice(reader, _WEIGHT_BLOCK))
+            if not block:
+                break
+            if not bulk or set(map(len, block)) != {width}:
+                block = _checked_rows(block, width, strip, path, widx)
+            rows += map(keep, block)
+            if widx is not None and not _take_weights(
+                list(map(itemgetter(widx), block)), weights
+            ):
                 _raise_first_bad_row(path, width, widx)
-            if strip:
-                raw = tuple(map(str.strip, raw))
-            add_row(keep(raw))
-            if widx is not None:
-                add_text(raw[widx])
-                if len(texts) == _WEIGHT_BLOCK and not _take_weights(texts, weights):
-                    _raise_first_bad_row(path, width, widx)
-    if not _take_weights(texts, weights):
-        _raise_first_bad_row(path, width, widx)
     if len(columns) < 2:
         # One position is read by a slice, which keeps a reader row a list.
         rows = list(map(tuple, rows))
     return _dedup_table(
         name, columns, rows, weights if widx is not None else None, source=path
     )
+
+
+def _checked_rows(
+    block: List[List[str]], width: int, strip: bool, path: str,
+    widx: Optional[int],
+) -> List[Sequence[str]]:
+    """The block's rows without its blank ones, stripped if `strip`; the
+    first bad row's error if a row has the wrong width."""
+    out: List[Sequence[str]] = []
+    for raw in block:
+        if not raw or (len(raw) == 1 and not raw[0].strip()):
+            continue
+        if len(raw) != width:
+            _raise_first_bad_row(path, width, widx)
+        out.append(tuple(map(str.strip, raw)) if strip else raw)
+    return out
 
 
 def _raise_first_bad_row(path: str, width: int, widx: Optional[int]) -> NoReturn:
@@ -373,13 +404,11 @@ class Database:
         self,
         relations: Dict[str, Relation],
         decode_list: Sequence[str],
-        encode_map: Dict[str, int],
         vertex_weights: Optional[Dict[int, int]] = None,
     ):
         self.relations = dict(relations)
         # The decode table: constant id -> its text.
         self.constants = tuple(decode_list)
-        self._encode = dict(encode_map)
         self.vertex_weights = dict(vertex_weights) if vertex_weights else {}
 
     @classmethod
@@ -390,25 +419,35 @@ class Database:
         vertex_weights: Optional[Dict[str, int]] = None,
     ) -> "Database":
         tables = list(tables)
-        values = set()
-        for t in tables:
-            values.update(chain.from_iterable(t.rows))
-        if vertex_weights:
-            values.update(vertex_weights)
+        # Every constant once, in order of first appearance. Rows come in
+        # file order, so the sorts below meet the runs a file already holds.
+        # The ids are written into the same dict once the order is known.
+        table_rows = chain.from_iterable(t.rows for t in tables)
+        encode = dict.fromkeys(
+            chain(chain.from_iterable(table_rows), vertex_weights or ())
+        )
         # One total order for the whole domain: numeric when everything is an
         # integer literal, bytewise otherwise (a pairwise mixed rule would not
-        # be transitive). Equal numbers tie-break on their text; `values` is
-        # a set, so leaving them tied would make the order hash-seed dependent.
-        # The stable sort by `int` over the text order is the key (int(v), v);
+        # be transitive). Equal numbers tie-break on their text, so the order
+        # depends on the values alone, not on the order they were read in.
         # `str` order is code-point order, which UTF-8 byte order preserves.
-        decode = sorted(values)
-        if all(map(_INT_RE.match, decode)):
+        # A domain whose join is `isdecimal` holds only unsigned digit strings
+        # (`\d` and `isdecimal` accept the same characters); only a domain
+        # failing that is matched value by value. Plain ASCII numerals order
+        # by length, then text; other literals by a stable sort by `int` over
+        # the text order, which is the key (int(v), v).
+        decode = sorted(encode)
+        joined = "".join(decode)
+        digits = "" not in encode and joined.isdecimal()
+        if digits and joined.isascii() and not _leading_zero(decode):
+            decode.sort(key=len)
+        elif digits or all(map(_INT_RE.match, decode)):
             try:
                 decode.sort(key=int)
             except ValueError:
                 # A literal past the interpreter's digit limit for `int`.
                 decode.sort(key=_int_order)
-        encode = dict(zip(decode, range(len(decode))))
+        encode.update(zip(decode, range(len(decode))))
         lookup = encode.__getitem__
         relations = {}
         for t in tables:
@@ -425,7 +464,7 @@ class Database:
         vw = None
         if vertex_weights:
             vw = {encode[c]: w for c, w in vertex_weights.items()}
-        return cls(relations, decode, encode, vw)
+        return cls(relations, decode, vw)
 
     def relation(self, name: str) -> Relation:
         if name not in self.relations:
@@ -434,9 +473,6 @@ class Database:
 
     def decode(self, cid: int) -> str:
         return self.constants[cid]
-
-    def encode(self, value: str) -> int:
-        return self._encode[value]
 
     def vertex_weight(self, cid: int) -> int:
         return self.vertex_weights.get(cid, 0)

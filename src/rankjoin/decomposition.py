@@ -101,7 +101,11 @@ def _build(
     covers: Dict[int, Tuple[int, ...]],
     parents: Dict[int, Optional[int]],
     root: int,
+    width: Optional[int] = None,
 ) -> TreeDecomposition:
+    """Link, check and assign the atoms of a decomposition. `width` is the
+    largest minimum cover of a bag, searched for here unless the caller
+    already knows it."""
     children: Dict[int, List[int]] = {nid: [] for nid in bags}
     for nid, p in parents.items():
         if nid not in bags:
@@ -148,13 +152,16 @@ def _build(
             var_order=ordered,
         )
 
-    width = 0
-    assignment: Dict[int, int] = {}
-    for nid in sorted(bags):
+    if width is None:
         # One atom is a minimum cover of a nonempty bag (`validate` checks
         # that it covers the bag), so only other bags need the search.
-        one = bags[nid] and len(covers[nid]) == 1
-        width = max(width, 1 if one else len(min_edge_cover(bags[nid], q)))
+        width = max(
+            1 if bags[nid] and len(covers[nid]) == 1
+            else len(min_edge_cover(bags[nid], q))
+            for nid in sorted(bags)
+        )
+    assignment: Dict[int, int] = {}
+    for nid in sorted(bags):
         for ai in covers[nid]:
             # Tuple weights are charged where the atom is assigned, so the
             # bag must bind every variable of the atom.
@@ -303,7 +310,8 @@ def augment_for_bounded(d: TreeDecomposition, s: FrozenSet[str]) -> TreeDecompos
     bags = {nid: n.bag | s for nid, n in d.nodes.items()}
     covers = {nid: min_edge_cover(bags[nid], d.query) for nid in bags}
     parents = {nid: n.parent for nid, n in d.nodes.items()}
-    return _build(d.query, bags, covers, parents, d.root)
+    width = max(map(len, covers.values()))
+    return _build(d.query, bags, covers, parents, d.root, width)
 
 
 def parse_decomposition(text: str, q: ConjunctiveQuery) -> TreeDecomposition:

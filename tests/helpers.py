@@ -1,5 +1,7 @@
 """Shared fixtures: the worked four-relation example, random instance
-generation for the corpus shapes, and engine/oracle comparison plumbing."""
+generation for the corpus shapes, engine/oracle comparison plumbing, and
+reference implementations the library does not need (constant ids by value,
+the exhaustive diameter)."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from rankjoin import (
     parse_ranking,
     prepare,
 )
+from rankjoin.query import ConjunctiveQuery
 
 RUNNING_QUERY = "Q(x,y,z,w,u) :- R1(x,y), R2(y,z), R3(z,w), R4(z,u)"
 
@@ -82,6 +85,46 @@ def spider(legs: int) -> str:
         f"R{i}(c,a{i}), S{i}(a{i},b{i})" for i in range(legs)
     )
     return f"Q({head}) :- {atoms}"
+
+
+def encode(db: Database, value: str) -> int:
+    """The id of the constant `value` in `db`."""
+    return db.constants.index(value)
+
+
+def exact_diameter(cq: ConjunctiveQuery) -> int:
+    """Reference diameter with the distinct-vertex/distinct-edge path rule
+    enforced literally (exponential; used to cross-check the BFS version on
+    small queries)."""
+    variables = sorted(cq.variables)
+    edges = [frozenset(a.variables) for a in cq.atoms]
+
+    def shortest(u: str, v: str) -> Optional[int]:
+        best = None
+        stack = [(u, frozenset([u]), frozenset(), 0)]
+        while stack:
+            cur, used_v, used_e, k = stack.pop()
+            if cur == v:
+                best = k if best is None else min(best, k)
+                continue
+            if best is not None and k >= best:
+                continue
+            for ei, edge in enumerate(edges):
+                if cur not in edge or ei in used_e:
+                    continue
+                for nxt in edge:
+                    if nxt in used_v:
+                        continue
+                    stack.append((nxt, used_v | {nxt}, used_e | {ei}, k + 1))
+        return best
+
+    diam = 0
+    for i, u in enumerate(variables):
+        for v in variables[i + 1 :]:
+            d = shortest(u, v)
+            if d is not None:
+                diam = max(diam, d)
+    return diam
 
 
 def random_instance(shape: str, seed: int):

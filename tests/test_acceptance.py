@@ -37,6 +37,7 @@ from rankjoin.union import compare_key
 from helpers import (
     RANK_SPECS,
     SHAPES,
+    encode,
     engine_lines,
     oracle_lines,
     random_instance,
@@ -107,7 +108,7 @@ def test_criterion_1_running_example():
 
     def queue_scores(nid, key_raw):
         state = p.states[nid]
-        key = tuple(db.encode(v) for v in key_raw)
+        key = tuple(encode(db, v) for v in key_raw)
         return sorted(entry[0] for entry in state.queues.get(key, []))
 
     assert queue_scores(2, ("1",)) == [1, 4]
@@ -115,7 +116,7 @@ def test_criterion_1_running_example():
     assert queue_scores(1, ("1",))[0] == 3
     assert queue_scores(0, ()) == [4, 5]
 
-    entry = p.states[1].queues[(db.encode("1"),)][0]
+    entry = p.states[1].queues[(encode(db, "1"),)][0]
     cursor = RankedCursor(p)
     results = cursor.drain()
     assert [r.score for r in results[:2]] == [4, 5]

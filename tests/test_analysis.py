@@ -16,7 +16,8 @@ from rankjoin import (
     gyo_join_tree,
     parse_query,
 )
-from rankjoin.analysis import exact_diameter
+
+from helpers import exact_diameter
 
 
 def _cq(text):

@@ -314,6 +314,24 @@ def test_plan_on_2000_arm_star(tmp_path, capsys):
         assert line in out
 
 
+def test_plan_of_an_augmented_decomposition(workspace, capsys):
+    """A bounded ranking's bags gain its variables; the covers and the width
+    that `plan` prints come from one cover search per bag."""
+    args = _base_args(workspace)
+    args[args.index("tuple_sum")] = "bounded(tuple_sum; x,u)"
+    assert main(["plan", *args]) == 0
+    assert capsys.readouterr().out.splitlines()[:7] == [
+        f"query: {RUNNING_QUERY}",
+        "width: 3",
+        "node 0: bag {x,y,u} key [] val [x,y,u] cover R1,R4",
+        "  node 1: bag {x,y,z,u} key [x,y,u] val [z] cover R1,R4",
+        "    node 2: bag {x,z,w,u} key [x,z,u] val [w] cover R1,R3,R4",
+        "    node 3: bag {x,z,u} key [x,z,u] val [] cover R1,R4",
+        "ranking bounded(tuple_sum; u,x): compatible (determining variables "
+        "contained in every bag)",
+    ]
+
+
 def test_plan_witness_does_not_follow_the_hash_seed(tmp_path):
     """Every pair of the spider's leg ends is at its diameter; equally far
     vertices are told apart by name, whatever the set order."""

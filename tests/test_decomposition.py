@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,9 +13,10 @@ from rankjoin import (
     parse_decomposition,
     parse_query,
 )
+from rankjoin import decomposition
 from rankjoin.decomposition import min_edge_cover, validate
 
-from helpers import long_path
+from helpers import long_path, star
 
 RUNNING = "Q(x,y,z,w,u) :- R1(x,y), R2(y,z), R3(z,w), R4(z,u)"
 TRIANGLE = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
@@ -154,6 +156,25 @@ class TestAugment:
         d = gyo_join_tree(_cq(RUNNING))
         with pytest.raises(DecompositionError):
             augment_for_bounded(d, frozenset({"nope"}))
+
+    @pytest.mark.parametrize("query,s,width", [
+        (star(6), {"y0"}, 2),
+        (RUNNING, {"x", "u"}, 3),
+    ], ids=["star", "running"])
+    def test_one_cover_search_per_bag(self, monkeypatch, query, s, width):
+        """Each augmented bag's cover is searched for once; the width comes
+        from those covers, not from a second search."""
+        d = gyo_join_tree(_cq(query))
+        searched = Counter()
+
+        def counting(bag, q):
+            searched[bag] += 1
+            return min_edge_cover(bag, q)
+
+        monkeypatch.setattr(decomposition, "min_edge_cover", counting)
+        a = augment_for_bounded(d, frozenset(s))
+        assert searched == Counter(n.bag for n in a.nodes.values())
+        assert a.width == width
 
 
 class TestDepthOne:

@@ -46,8 +46,7 @@ def _positive(db):
         )
         for name, rel in db.relations.items()
     }
-    encode = {c: i for i, c in enumerate(db.constants)}
-    return Database(relations, db.constants, encode, db.vertex_weights)
+    return Database(relations, db.constants, db.vertex_weights)
 
 
 @pytest.mark.parametrize("shape,spec,seed", CASES)

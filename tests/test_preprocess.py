@@ -14,12 +14,14 @@ from rankjoin import (
 )
 from rankjoin.preprocess import full_reducer, materialize_bags
 
-from helpers import RUNNING_QUERY, random_instance, rank_for, running_example
+from helpers import (
+    RUNNING_QUERY, encode, random_instance, rank_for, running_example,
+)
 
 
 def _queue_scores(prepared, nid, key_raw):
     state = prepared.states[nid]
-    key = tuple(prepared.db.encode(v) for v in key_raw)
+    key = tuple(encode(prepared.db, v) for v in key_raw)
     return sorted(entry[0] for entry in state.queues.get(key, []))
 
 

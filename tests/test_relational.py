@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from rankjoin import (
     semijoin,
 )
 from rankjoin.data import _INT_RE, _int_order
+
+from helpers import encode
 
 
 def _write(tmp_path, name, text):
@@ -116,7 +119,7 @@ class TestDatabase:
     def test_numeric_domain_order(self):
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("1",)])
         db = Database.build([t])
-        assert db.encode("1") < db.encode("2") < db.encode("10")
+        assert encode(db, "1") < encode(db, "2") < encode(db, "10")
 
     def test_equal_integer_literals_order_by_text(self):
         """Equal integers written differently ("7", "07", "+7") are distinct
@@ -158,7 +161,7 @@ class TestDatabase:
         else:
             want = sorted(values, key=lambda v: v.encode("utf-8"))
         assert [db.decode(i) for i in range(len(values))] == want
-        assert [db.encode(v) for v in want] == list(range(len(values)))
+        assert [encode(db, v) for v in want] == list(range(len(values)))
 
     def test_overlong_integer_constants_keep_numeric_order(self):
         """Literals past the interpreter's digit limit for `int` still order
@@ -191,18 +194,114 @@ class TestDatabase:
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("a",)])
         db = Database.build([t])
         # one value fails to parse, so the whole domain orders bytewise
-        assert db.encode("10") < db.encode("2") < db.encode("a")
+        assert encode(db, "10") < encode(db, "2") < encode(db, "a")
 
     def test_vertex_weight_defaults_to_zero(self):
         t = Table.from_rows("R", ("x",), [("a",), ("b",)])
         db = Database.build([t], {"a": 3})
-        assert db.vertex_weight(db.encode("a")) == 3
-        assert db.vertex_weight(db.encode("b")) == 0
+        assert db.vertex_weight(encode(db, "a")) == 3
+        assert db.vertex_weight(encode(db, "b")) == 0
 
     def test_unknown_relation(self):
         db = Database.build([Table.from_rows("R", ("x",), [("a",)])])
         with pytest.raises(SchemaError):
             db.relation("S")
+
+
+NINES = "9" * 5000  # past the interpreter's digit limit for `int`
+
+# Each domain's ids in order. The first cases pass the `isdecimal` test of
+# the joined domain, the next ones fall back to the `_INT_RE` scan, and the
+# last ones are not all integers and order bytewise.
+DOMAIN_ORDERS = {
+    "plain numerals": ["0", "1", "2", "9", "10", "100"],
+    "leading zeros": ["0", "011", "20"],
+    "leading zero first": ["011", "20"],
+    "non-ASCII digits": ["٣", "5", "10"],
+    "non-ASCII digits, leading zeros": ["0", "00", "٣", "07", "7", "10"],
+    "past the digit limit": ["0" * 4999 + "2", "3", "10", NINES],
+    "signs": ["-3", "-0", "0", "+7", "07", "7"],
+    "trailing newline": ["7", "7\n", "10"],
+    "signs past the digit limit": ["-" + NINES, "-0", "+7", "+" + NINES],
+    "empty text": ["", "10", "9"],
+    "mixed": ["", "+7", "7", "a", "٣"],
+}
+
+
+def _tables(rows_r, rows_s):
+    """R(x, y) weighted by its rows' values, and S(y)."""
+    weights = [sum(map(len, row)) for row in rows_r]
+    return [
+        Table.from_rows("R", ("x", "y"), rows_r, weights),
+        Table.from_rows("S", ("y",), rows_s),
+    ]
+
+
+def _contents(db):
+    """Constants, and each relation's rows with their weights."""
+    return db.constants, {
+        name: {row: rel.weight_of(row) for row in rel.rows}
+        for name, rel in db.relations.items()
+    }
+
+
+class TestDomainOrder:
+    """Ids depend on the domain's values alone: not on the order rows or
+    tables are read in, nor on the string hash seed."""
+
+    @pytest.mark.parametrize("case", sorted(DOMAIN_ORDERS))
+    def test_literal_mixes_keep_their_order(self, case):
+        want = DOMAIN_ORDERS[case]
+        for values in (want, want[::-1], sorted(want)):
+            db = Database.build([Table.from_rows("R", ("x",), [(v,) for v in values])])
+            assert db.constants == tuple(want)
+
+    @pytest.mark.parametrize("case", sorted(DOMAIN_ORDERS))
+    def test_row_and_table_order_do_not_matter(self, case):
+        values = DOMAIN_ORDERS[case]
+        rng = random.Random(case)
+        rows_r = [(a, b) for a in values for b in values if a != b]
+        rows_s = [(v,) for v in values[::2]]
+        shuffled_r, shuffled_s = rows_r[:], rows_s[:]
+        rng.shuffle(shuffled_r)
+        rng.shuffle(shuffled_s)
+        builds = [
+            Database.build(_tables(rows_r, rows_s)),
+            Database.build(_tables(rows_r, rows_s)[::-1]),
+            Database.build(_tables(rows_r[::-1], rows_s[::-1])),
+            Database.build(_tables(shuffled_r, shuffled_s)),
+        ]
+        first = _contents(builds[0])
+        assert first[0] == tuple(values)
+        assert all(_contents(db) == first for db in builds[1:])
+
+    def test_hash_seed_does_not_matter(self):
+        script = (
+            "import random\n"
+            "from rankjoin import Database, Table\n"
+            "vals = ['10', '+7', '07', '7', '-0', '0', '9', '011']\n"
+            "random.Random(1).shuffle(vals)\n"
+            "rows = [(a, b) for a in vals for b in vals]\n"
+            "db = Database.build([\n"
+            "    Table.from_rows('R', ('x', 'y'), rows, range(len(rows))),\n"
+            "    Table.from_rows('S', ('y',), [(v,) for v in vals]),\n"
+            "])\n"
+            "print(db.constants)\n"
+            "for name, rel in sorted(db.relations.items()):\n"
+            "    print(name, rel.rows, rel.weights)\n"
+        )
+        src = os.path.dirname(os.path.dirname(rankjoin.__file__))
+        outputs = set()
+        for seed in (0, 1):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().startswith(
+            "('-0', '0', '+7', '07', '7', '9', '10', '011')\n")
 
 
 def _rel(name, schema, rows):
