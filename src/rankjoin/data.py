@@ -35,8 +35,11 @@ included, moves to the oldest generation without a traversal; a later full
 collection is the first to examine it.
 
 Weights are 64-bit integers; users needing reals are expected to scale to
-fixed-point. Tuples are plain python tuples of ids with a parallel weight map,
-which keeps joins and hashing cheap.
+fixed-point. Tuples are plain python tuples of ids, which keeps joins and
+hashing cheap, and a relation's weights are a column aligned with its rows:
+`Database.build` passes a table's column through, and `semijoin` keeps the
+weights of the rows it keeps. A by-row weight map is built only on first use
+(`Relation.weight_map`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import gc
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import partial, wraps
+from functools import cached_property, partial, wraps
 from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import (
@@ -376,25 +379,28 @@ def load_vertex_weights(path: str) -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class Relation:
-    """An encoded relation: rows are tuples of constant ids over `schema`.
+    """An encoded relation: rows are tuples of constant ids over `schema`,
+    and `weights`, when given, holds row i's weight at position i.
 
     The rows are distinct: `Database.build` encodes the rows of deduplicated
     tables with an injective map, and `semijoin` only drops rows. Bag
-    materialization relies on this to take a relation's rows as a bag."""
+    materialization relies on this to take a relation's rows, and their
+    weights, as a bag."""
 
     name: str
     schema: Tuple[str, ...]
     rows: Tuple[Tuple[int, ...], ...]
-    weights: Optional[Dict[Tuple[int, ...], int]] = field(default=None, compare=False)
+    weights: Optional[Tuple[int, ...]] = field(default=None, compare=False)
+
+    @cached_property
+    def weight_map(self) -> Dict[Tuple[int, ...], int]:
+        """Row -> weight, built on first use and kept; empty when the
+        relation has no weights."""
+        return dict(zip(self.rows, self.weights or ()))
 
     def weight_of(self, row: Tuple[int, ...]) -> int:
         # Tuples outside the relation contribute the additive identity 0.
-        if self.weights is None:
-            return 0
-        return self.weights.get(row, 0)
-
-    def project_positions(self, positions: Sequence[int]) -> frozenset:
-        return frozenset(map(row_getter(positions), self.rows))
+        return self.weight_map.get(row, 0)
 
 
 class Database:
@@ -457,10 +463,7 @@ class Database:
             # encoded rows are distinct too (see `Relation`).
             ids = map(lookup, chain.from_iterable(t.rows))
             rows = tuple(zip(*[ids] * len(t.columns))) if t.columns else t.rows
-            weights = None
-            if t.weights is not None:
-                weights = dict(zip(rows, t.weights))
-            relations[t.name] = Relation(t.name, t.columns, rows, weights)
+            relations[t.name] = Relation(t.name, t.columns, rows, t.weights)
         vw = None
         if vertex_weights:
             vw = {encode[c]: w for c, w in vertex_weights.items()}
@@ -486,13 +489,12 @@ def semijoin(left: Relation, right: Relation, on: Sequence[str]) -> Relation:
         if col not in right.schema:
             raise SchemaError(f"semijoin: column {col!r} not in {right.schema}")
     lpos = [left.schema.index(c) for c in on]
-    rpos = [right.schema.index(c) for c in on]
-    keys = right.project_positions(rpos)
-    found = map(keys.__contains__, map(row_getter(lpos), left.rows))
-    rows = tuple(compress(left.rows, found))
-    if len(rows) == len(left.rows):
+    keys = set(map(row_getter([right.schema.index(c) for c in on]), right.rows))
+    # One selector for the rows and their weights alike.
+    found = list(map(keys.__contains__, map(row_getter(lpos), left.rows)))
+    if all(found):
         return left
     weights = None
     if left.weights is not None:
-        weights = dict(zip(rows, map(left.weights.__getitem__, rows)))
-    return Relation(left.name, left.schema, rows, weights)
+        weights = tuple(compress(left.weights, found))
+    return Relation(left.name, left.schema, tuple(compress(left.rows, found)), weights)

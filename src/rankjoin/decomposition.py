@@ -75,6 +75,25 @@ class TreeDecomposition:
             stack.extend(reversed(self.nodes[nid].children))
         return out
 
+    def pass_through(self) -> Dict[int, int]:
+        """Node id -> atom index, for each node whose bag is that atom's
+        relation as it is: the node's one cover atom has the bag's variables
+        in `var_order`, and no other atom is assigned to the node. Bag
+        materialization passes such a relation's rows and weights through,
+        and tuple scoring reads such a bag's weights by position."""
+        atoms = self.query.atoms
+        out = {
+            nid: node.cover[0]
+            for nid, node in self.nodes.items()
+            if len(node.cover) == 1
+            and atoms[node.cover[0]].variables == node.var_order
+        }
+        for ai, owner in self.atom_assignment.items():
+            # Another atom assigned to the node filters its bag.
+            if out.get(owner, ai) != ai:
+                del out[owner]
+        return out
+
     def depth(self) -> int:
         depth = {self.root: 0}
         for nid in self.pre_order():

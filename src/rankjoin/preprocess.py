@@ -25,7 +25,8 @@ bag uses the valuation itself as the tie.
 
 Set-up runs these getters over whole bags. A node covered by one atom whose
 variables are its bag in order, with no other atom to filter it, takes that
-relation's rows as its bag unchanged. `initialize_queues` builds each node's
+relation's rows and weight column as its bag unchanged, and the full reducer
+keeps the column aligned with the rows. `initialize_queues` builds each node's
 initial entries column by column with C-level `map`/`zip` over the bag: child
 queue heads, `ScoreModel.node_scores`, scores, ties, then the entries. The
 cursor's later entries come one at a time from `new_cell`, which forms score
@@ -142,11 +143,12 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
     """Join each node's cover atoms, project to the bag, then filter by the
     atoms assigned to the node (they may constrain the bag beyond the cover).
 
-    A node covered by one atom whose variables are its bag in `var_order`,
-    with no other atom assigned to it, passes that relation's rows through
-    as they are: they are already distinct (see `data.Relation`). Other bags
-    are sorted."""
+    A pass-through node (`TreeDecomposition.pass_through`) takes its atom's
+    relation's rows and weight column as they are: the rows are already
+    distinct (see `data.Relation`). Other bags are sorted and carry no
+    weights."""
     q = d.query
+    passed = d.pass_through()
     filters: Dict[int, List[int]] = defaultdict(list)
     for ai, owner in d.atom_assignment.items():
         if ai not in d.nodes[owner].cover:
@@ -157,12 +159,11 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
             # Synthetic empty bag: the nullary relation with one empty row.
             out[nid] = Relation(f"bag{nid}", (), ((),))
             continue
-        atoms = [q.atoms[ai] for ai in node.cover]
-        if (len(atoms) == 1 and atoms[0].variables == node.var_order
-                and not filters[nid]):
-            rel = db.relation(atoms[0].relation)
-            out[nid] = Relation(f"bag{nid}", node.var_order, rel.rows)
+        if nid in passed:
+            rel = db.relation(q.atoms[passed[nid]].relation)
+            out[nid] = Relation(f"bag{nid}", node.var_order, rel.rows, rel.weights)
             continue
+        atoms = [q.atoms[ai] for ai in node.cover]
         schema: List[str] = []
         rows: List[Tuple[int, ...]] = []
         for atom in atoms:
@@ -294,7 +295,7 @@ def initialize_queues(
             _child_heads(nid, c, states[c].queues, child_key, rows)
             for c, child_key in zip(children, state.child_keys)
         ]
-        own = list(model.node_scores(nid, rows))
+        own = list(model.node_scores(nid, reduced[nid]))
         scores = own
         for h in heads:
             scores = map(combine, scores, map(entry_score, h))

@@ -10,11 +10,15 @@ augmentation the determining variables sit inside every key, so all non-root
 partial scores are equal and any queue order there is sound.
 
 `ScoreModel` compiles one scorer per decomposition node when it is built: a
-closure over the node's weight maps and bag positions that scores a whole
+closure over the node's weight lookups and bag positions that scores a whole
 sequence of bag rows as a chain of C-level `map`s, so scoring dispatches on
 nothing and runs no Python code per row. `ScoreModel.node_scores` runs it over
-a node's bag; `ScoreModel.node_score` runs it over one row. `direct_score`
-stays a separate, definition-level path for the oracle.
+a node's bag; `ScoreModel.node_score` runs it over one row. A tuple-weight
+term of a pass-through bag (`TreeDecomposition.pass_through`) is the bag's
+weight column itself; every other one looks its rows up in the relation's
+by-row map, which the relation builds when a term first reads it, not when
+the scorer is compiled. `direct_score` stays a separate, definition-level path
+for the oracle.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from .data import INT64_MAX, INT64_MIN, Database, row_getter
+from .data import INT64_MAX, INT64_MIN, Database, Relation, row_getter
 from .decomposition import TreeDecomposition
 from .errors import ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
@@ -36,8 +41,9 @@ from .query import ConjunctiveQuery
 MAX_IDENTITY = float("-inf")
 
 Row = Tuple[int, ...]  # a bag valuation or a queue key: constant ids
-# One score term of a bag valuation: `get(getter(valuation), 0)`.
-Term = Tuple[Callable[[Row], object], Callable]
+# One score term: its value for each of some bag rows, given those rows and
+# the bag's weight column (None unless the rows are a whole pass-through bag).
+Term = Callable[[Sequence[Row], Optional[Sequence[int]]], Iterable]
 
 
 def _combine_max(a, b):
@@ -202,8 +208,8 @@ class ScoreModel:
     """Binds a ranking function to one query/decomposition/database.
 
     At construction it compiles one scorer per node: a closure over that
-    node's weight maps and bag positions, mapped over a sequence of bag rows.
-    `node_scores` and `node_score` are the entry points that run them."""
+    node's weight lookups and bag positions, mapped over a sequence of bag
+    rows. `node_scores` and `node_score` are the entry points that run them."""
 
     def __init__(
         self,
@@ -219,7 +225,14 @@ class ScoreModel:
         self.identity = rf.monoid.identity
         self.combine = rf.monoid.combine
         self._validate()
-        self._scorers = {nid: self._compile(nid, node) for nid, node in d.nodes.items()}
+        assigned: Dict[int, List[int]] = defaultdict(list)
+        for ai, owner in d.atom_assignment.items():
+            assigned[owner].append(ai)
+        passed = d.pass_through()
+        self._scorers = {
+            nid: self._compile(nid, node, assigned[nid], passed.get(nid))
+            for nid, node in d.nodes.items()
+        }
 
     def _validate(self) -> None:
         rf, q = self.rf, self.query
@@ -242,46 +255,52 @@ class ScoreModel:
             self._check_positive_weights()
 
     def _check_positive_weights(self) -> None:
-        rf = self.rf
+        rf, db = self.rf, self.db
         kind = rf.kind if rf.kind != "bounded" else rf.inner_kind
+        names = dict.fromkeys(atom.relation for atom in self.query.atoms)
         if kind == "tuple":
-            for atom in self.query.atoms:
-                rel = self.db.relation(atom.relation)
+            for name in names:
+                rel = db.relation(name)
                 if rel.weights is None:
                     raise WeightError(
                         f"product ranking needs weights on relation {rel.name}"
                     )
-                bad = [r for r, w in rel.weights.items() if w <= 0]
-                if bad:
+                bad = next(
+                    compress(itertools.count(), map((0).__ge__, rel.weights)), None
+                )
+                if bad is not None:
                     raise WeightError(
                         f"product ranking needs strictly positive weights; "
-                        f"relation {rel.name} row {bad[0]} has weight "
-                        f"{rel.weights[bad[0]]}"
+                        f"relation {rel.name} row {rel.rows[bad]} has weight "
+                        f"{rel.weights[bad]}"
                     )
         else:
-            used = set()
-            for atom in self.query.atoms:
-                for row in self.db.relation(atom.relation).rows:
-                    used.update(row)
-            bad = [c for c in used if self.db.vertex_weight(c) <= 0]
+            used = set().union(
+                *(chain.from_iterable(db.relation(n).rows) for n in names)
+            )
+            bad = [c for c in used if db.vertex_weight(c) <= 0]
             if bad:
+                first = min(bad)
                 raise WeightError(
                     f"product ranking needs strictly positive vertex weights; "
-                    f"constant {self.db.decode(bad[0])!r} has weight "
-                    f"{self.db.vertex_weight(bad[0])}"
+                    f"constant {db.decode(first)!r} has weight "
+                    f"{db.vertex_weight(first)}"
                 )
 
-    def _compile(self, nid: int, node) -> Callable[[Sequence[Row]], Iterable]:
+    def _compile(
+        self, nid: int, node, assigned: List[int], passed: Optional[int]
+    ) -> Callable:
         """The node's own-score function over a sequence of its bag
-        valuations. Weight maps, bag positions and the monoid are bound once
-        here, so scoring runs no dispatch."""
+        valuations and, for a whole pass-through bag, its weight column.
+        Weight lookups, bag positions and the monoid are bound once here, so
+        scoring runs no dispatch. `assigned` are the atoms assigned to the
+        node, and `passed` the atom whose relation the bag passes through."""
         rf, d, db = self.rf, self.decomposition, self.db
         order = {v: i for i, v in enumerate(node.var_order)}
         if rf.kind == "tuple":
             return self._fold([
-                _weight_lookup(db, self.query.atoms[ai], order)
-                for ai, owner in d.atom_assignment.items()
-                if owner == nid
+                _weight_lookup(db, self.query.atoms[ai], order, ai == passed)
+                for ai in assigned
             ])
         if rf.kind == "vertex":
             return self._fold([_vertex_lookup(db, order[v]) for v in node.val_vars])
@@ -292,7 +311,7 @@ class ScoreModel:
             )
             ranks = tuple(lp for lp, _ in pairs)
             values = row_getter([p for _, p in pairs])
-            return lambda rows: map(
+            return lambda rows, column=None: map(
                 tuple, map(zip, repeat(ranks), map(values, rows))
             )
         # bounded: full value at the root, identity elsewhere
@@ -313,29 +332,28 @@ class ScoreModel:
             ])
         return self._fold([_vertex_lookup(db, order[v]) for v in sorted(rf.bound_vars)])
 
-    def _fold(self, terms: List[Term]) -> Callable[[Sequence[Row]], Iterable]:
+    def _fold(self, terms: List[Term]) -> Callable:
         """Combine the terms' values left to right, per row. The fold starts
         at the first term's value, which equals combining it into the
         identity under every monoid; with no terms every row scores the
         identity."""
         identity, combine = self.identity, self.combine
 
-        def scores(rows):
+        def scores(rows, column=None):
             if not terms:
                 return repeat(identity, len(rows))
-            columns = [map(get, map(getter, rows), repeat(0)) for getter, get in terms]
-            acc = columns[0]
-            for values in columns[1:]:
+            acc, *rest = [term(rows, column) for term in terms]
+            for values in rest:
                 acc = map(combine, acc, values)
             return acc
 
         return scores
 
-    def node_scores(self, nid: int, rows: Sequence[Row]) -> Iterable:
-        """Node `nid`'s own contribution for each of `rows`, some of its bag
-        valuations, in order. Lazy: the scores are computed as they are read.
-        `rows` is read once per term, so it must be a sequence."""
-        return self._scorers[nid](rows)
+    def node_scores(self, nid: int, bag: Relation) -> Iterable:
+        """Node `nid`'s own contribution for each row of `bag`, its bag or a
+        reduced one, in order. Lazy: the scores are computed as they are
+        read."""
+        return self._scorers[nid](bag.rows, bag.weights)
 
     def node_score(self, nid: int, valuation: Row):
         """Node `nid`'s own contribution for one of its bag valuations."""
@@ -343,16 +361,29 @@ class ScoreModel:
         return score
 
 
-def _weight_lookup(db: Database, atom, order: Dict[str, int]) -> Term:
-    """A bag valuation's weight in `atom`'s relation (0 for tuples outside it,
-    as `Relation.weight_of`)."""
-    get = (db.relation(atom.relation).weights or {}).get
-    return row_getter([order[v] for v in atom.variables]), get
+def _weight_lookup(
+    db: Database, atom, order: Dict[str, int], by_position: bool = False
+) -> Term:
+    """The bag rows' weights in `atom`'s relation (0 for tuples outside it,
+    as `Relation.weight_of`). With `by_position` the bag passes that
+    relation through, so a whole bag's weight column is its values as they
+    are. Other rows are looked up in the relation's by-row map, which is
+    read, and so built, only when the term runs."""
+    rel = db.relation(atom.relation)
+    getter = row_getter([order[v] for v in atom.variables])
+
+    def values(rows, column):
+        if by_position and column is not None:
+            return column
+        return map(rel.weight_map.get, map(getter, rows), repeat(0))
+
+    return values
 
 
 def _vertex_lookup(db: Database, position: int) -> Term:
     """The vertex weight of the constant at one bag position."""
-    return operator.itemgetter(position), db.vertex_weights.get
+    get, getter = db.vertex_weights.get, operator.itemgetter(position)
+    return lambda rows, column: map(get, map(getter, rows), repeat(0))
 
 
 def probe_decomposable(

@@ -41,8 +41,7 @@ def _positive(db):
     rankings apply."""
     relations = {
         name: Relation(
-            name, rel.schema, rel.rows,
-            {row: abs(w) + 1 for row, w in rel.weights.items()},
+            name, rel.schema, rel.rows, tuple(abs(w) + 1 for w in rel.weights)
         )
         for name, rel in db.relations.items()
     }

@@ -337,3 +337,36 @@ class TestSemijoin:
         left = _rel("L", ("x",), [(1,)])
         assert semijoin(left, _rel("R", (), [()]), ()).rows == ((1,),)
         assert semijoin(left, _rel("R", (), []), ()).rows == ()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_weights_stay_paired_with_rows(self, seed):
+        """The kept weights are the left relation's, position for position:
+        `weights[i]` is the weight `rows[i]` had in `left`. Random left and
+        right relations reach every case, the unchanged left (returned as
+        it is) and the empty result among them."""
+        rng = random.Random(seed)
+        dom = range(rng.randint(1, 4))
+        rows = sorted({(rng.choice(dom), rng.choice(dom))
+                       for _ in range(rng.randint(0, 12))})
+        left = Relation("L", ("x", "y"), tuple(rows),
+                        tuple(rng.randint(-9, 9) for _ in rows))
+        right = _rel("R", ("y",), {(rng.choice(dom),)
+                                  for _ in range(rng.randint(0, 4))})
+        out = semijoin(left, right, ("y",))
+        keys = set(right.rows)
+        assert out.rows == tuple(r for r in left.rows if r[1:] in keys)
+        assert len(out.weights) == len(out.rows)
+        assert list(zip(out.rows, out.weights)) == [
+            (r, left.weight_map[r]) for r in out.rows]
+        if out.rows == left.rows:
+            assert out is left
+
+    def test_weights_of_unchanged_and_empty_results(self):
+        left = Relation("L", ("x", "y"), ((1, 2), (3, 4)), (7, -1))
+        assert semijoin(left, left, ("x", "y")) is left
+        empty = semijoin(left, _rel("S", ("x",), []), ("x",))
+        assert empty.rows == () and empty.weights == ()
+        kept = semijoin(left, _rel("S", ("x",), [(3,)]), ("x",))
+        assert (kept.rows, kept.weights) == (((3, 4),), (-1,))
+        unweighted = semijoin(_rel("U", ("x",), [(1,), (3,)]), kept, ("x",))
+        assert (unweighted.rows, unweighted.weights) == (((3,),), None)

@@ -1,0 +1,113 @@
+"""Tuple weights as a column aligned with a relation's rows: a pass-through
+bag is scored by position, other bags through the relation's by-row map, and
+both agree with the oracle's definition-level scores."""
+
+import random
+
+import pytest
+
+from rankjoin import (
+    Database,
+    RankedCursor,
+    Relation,
+    Table,
+    WeightError,
+    parse_query,
+    parse_ranking,
+    prepare,
+)
+
+from helpers import engine_lines, oracle_lines, random_instance
+
+
+def test_pass_through_path_builds_no_weight_map(monkeypatch):
+    """Set-up and a full drain of a 3-path whose every bag passes its
+    relation through read each bag's weight column by position; no
+    relation builds its by-row map."""
+    db, uq, d = random_instance("3path", 4)
+    cq = uq.disjuncts[0]
+    assert d.pass_through() == {nid: nid for nid in d.nodes}
+    built = []
+    real = Relation.weight_map.func
+
+    def spy(rel):
+        built.append(rel.name)
+        return real(rel)
+
+    monkeypatch.setattr(Relation, "weight_map", property(spy))
+    rf = parse_ranking("tuple_sum")
+    results = RankedCursor(prepare(db, cq, rf, d)).drain()
+    assert results and built == []
+    monkeypatch.undo()
+    assert [(r.values, r.score) for r in results] == [
+        (r.values, r.score) for r in RankedCursor(prepare(db, cq, rf, d)).drain()
+    ]
+
+
+QUERIES = {
+    # The bag {x,y} is R's rows reordered, so it is computed, not passed.
+    "reordered": "Q(x,y,z) :- R(y,x), S(y,z)",
+    "self_join": "Q(x,y,z) :- R(x,y), R(y,z)",
+    "path": "Q(x,y,z,u) :- R(x,y), S(y,z), T(z,u)",
+}
+SPECS = ["tuple_product", "bounded(tuple_sum; x)", "bounded(tuple_sum; x,y)"]
+
+
+def _positive_instance(query: str, seed: int):
+    """Random tables with weights in 1..9 for every relation of `query`."""
+    rng = random.Random(seed)
+    cq = parse_query(query).disjuncts[0]
+    domain = [str(v) for v in range(rng.randint(2, 5))]
+    tables = []
+    for name in sorted({a.relation for a in cq.atoms}):
+        rows = sorted({(rng.choice(domain), rng.choice(domain))
+                       for _ in range(rng.randint(1, 16))})
+        weights = [rng.randint(1, 9) for _ in rows]
+        tables.append(Table.from_rows(name, ("a", "b"), rows, weights))
+    return Database.build(tables)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("shape", sorted(QUERIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_matches_oracle(shape, spec, seed):
+    uq = parse_query(QUERIES[shape])
+    db = _positive_instance(QUERIES[shape], seed)
+    rf = parse_ranking(spec)
+    got, _ = engine_lines(db, uq.disjuncts[0], rf)
+    assert got == oracle_lines(db, uq, rf)
+
+
+def _r_s(r_weights, s_weights=None):
+    return Database.build([
+        Table.from_rows("R", ("x", "y"), [("1", "1"), ("2", "1"), ("3", "1")],
+                        r_weights),
+        Table.from_rows("S", ("y", "z"), [("1", "1"), ("1", "2")], s_weights),
+    ], {"1": 2, "2": -3, "3": 0})
+
+
+def _product_error(db, spec):
+    cq = parse_query("Q(x,y,z) :- R(x,y), S(y,z)").disjuncts[0]
+    with pytest.raises(WeightError) as err:
+        prepare(db, cq, parse_ranking(spec))
+    return str(err.value)
+
+
+def test_product_names_the_first_non_positive_tuple_weight():
+    db = _r_s([3, -2, 0], [1, 1])
+    assert _product_error(db, "tuple_product") == (
+        "product ranking needs strictly positive weights; "
+        "relation R row (1, 0) has weight -2"
+    )
+    assert _product_error(_r_s([3, 2, 1]), "bounded(tuple_product; x,y)") == (
+        "product ranking needs weights on relation S"
+    )
+
+
+def test_product_names_a_non_positive_vertex_weight():
+    """Of the constants in use with a weight below 1, the first in value
+    order is named."""
+    assert _product_error(_r_s([1, 1, 1], [1, 1]), "vertex_product") == (
+        "product ranking needs strictly positive vertex weights; "
+        "constant '2' has weight -3"
+    )

@@ -1,0 +1,165 @@
+"""Set-up phases of one or more rankjoin checkouts, written to a BENCH JSON.
+
+    python3 tools/bench_suite.py --src parent=../parent --src change=. \
+        --runs 10 --out BENCH_12.json
+
+Each `--src LABEL=PATH` names a source checkout (its engine is imported from
+`PATH/src`). Every checkout runs the same inputs, written once under a
+temporary directory by the checkout that holds this script:
+
+- `fanout_topk`: the seed-1, scale-1 files of `perfbench/workloads.py`
+  (imported, not changed);
+- `threepath`, `diameter4`, `antichain`: `rankjoin gen` instances.
+
+A measurement is one fresh interpreter per checkout and input. It times the
+phases the way `rankjoin bench` does (`load`: the CLI's CSV ingest, `build`:
+`Database.build`, then `prepare`'s `materialize`, `reduce` and `init_queues`
+seconds), then, untimed, repeats the set-up under tracemalloc for its peak
+traced memory. Runs alternate which checkout goes first. The output file
+holds, per checkout, input and figure, the median and quartiles over the
+runs, and each run's value. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# `rankjoin gen` instances: kind -> n, sized so that set-up takes a tenth of a
+# second or more.
+GEN_SIZES = {"threepath": 50_000, "diameter4": 25_000, "antichain": 50_000}
+FIGURES = ("load_s", "build_s", "materialize_s", "reduce_s", "init_queues_s",
+           "setup_peak_mb")
+
+
+def write_inputs(work: str) -> dict:
+    """Write every input under `work`; return name -> job.conf path."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import workloads
+    from rankjoin import cli
+
+    wl = workloads.WORKLOADS["fanout_topk"]
+    confs = {wl.name: workloads.write_job(
+        wl, workloads.make(wl, 1, 1.0), os.path.join(work, wl.name))}
+    for kind, n in GEN_SIZES.items():
+        out = os.path.join(work, kind)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["gen", kind, "--n", str(n), "--out", out])
+        confs[kind] = os.path.join(out, "job.conf")
+    return confs
+
+
+def measure(conf: str) -> dict:
+    """One run's figures for `conf`, with the engine already importable."""
+    from rankjoin import Database, cli, prepare
+
+    job = cli.Job(cli.build_parser().parse_args(["bench", "--config", conf]))
+    uq = job.query()
+    rf, decomp = job.ranking(), job.decomposition(uq)
+
+    def setup():
+        tables, vw = job.load(uq)
+        t1 = time.perf_counter()
+        db = Database.build(tables, vw)
+        t2 = time.perf_counter()
+        return t1, t2, prepare(db, uq.disjuncts[0], rf, decomp)
+
+    gc.collect()
+    t0 = time.perf_counter()
+    t1, t2, prepared = setup()
+    stats = prepared.setup_stats
+    figures = {
+        "load_s": t1 - t0,
+        "build_s": t2 - t1,
+        "materialize_s": stats["materialize_seconds"],
+        "reduce_s": stats["reduce_seconds"],
+        "init_queues_s": stats["init_queues_seconds"],
+    }
+    del prepared
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = setup()
+        figures["setup_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    del kept
+    return figures
+
+
+def run_one(src: str, conf: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--measure", conf],
+        env=dict(os.environ, PYTHONPATH=os.path.join(src, "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def summary(values: list) -> dict:
+    """Median and quartiles, and every run's value in run order, so paired
+    runs can be compared."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
+            "runs": [round(v, 6) for v in values]}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", action="append", default=[], metavar="LABEL=PATH",
+                   help="a checkout to measure; repeat for each")
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--out", default="BENCH.json")
+    p.add_argument("--measure", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not args.src or not all("=" in s for s in args.src) or args.runs < 2:
+        p.error("give at least one --src LABEL=PATH and two or more --runs")
+    sides = dict(s.split("=", 1) for s in args.src)
+    samples = {label: {} for label in sides}
+    with tempfile.TemporaryDirectory() as work:
+        confs = write_inputs(work)
+        for run in range(args.runs):
+            order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+            for name, conf in confs.items():
+                for label in order:
+                    got = run_one(sides[label], conf)
+                    per = samples[label].setdefault(name, {f: [] for f in FIGURES})
+                    for f in FIGURES:
+                        per[f].append(got[f])
+            print(f"run {run + 1}/{args.runs} done", file=sys.stderr)
+    report = {
+        "suite": "tools/bench_suite.py",
+        "runs": args.runs,
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
+        "inputs": {"fanout_topk": "perfbench/workloads.py seed 1 scale 1",
+                   **{k: f"rankjoin gen {k} --n {n}" for k, n in GEN_SIZES.items()}},
+        "units": {f: "MB" if f.endswith("_mb") else "s" for f in FIGURES},
+        "results": {
+            label: {name: {f: summary(v) for f, v in per.items()}
+                    for name, per in by_input.items()}
+            for label, by_input in samples.items()
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
