@@ -139,7 +139,8 @@ class Job:
         with open(path, newline="") as fh:
             try:
                 header = next(csv.reader(fh))
-            except StopIteration:
+            except (StopIteration, csv.Error):
+                # No header, or an overlong field, which `load_csv` reports.
                 return False
         return column in [h.strip() for h in header]
 

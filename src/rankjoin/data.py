@@ -7,7 +7,9 @@ database is built, so lexicographic rankings are well-defined. Integer literals
 of equal value ("7", "07", "+7") are distinct constants, ordered by their text,
 so the order depends on the values alone: not on the string hash seed, nor on
 the order rows are read in. `Database.build` collects the domain once, in
-first-appearance order, into the dict that then maps each value to its id.
+first-appearance order column after column, into the dict that then maps each
+value to its id, and encodes each column on its own before zipping the id
+columns into rows.
 Whether the domain is all integers is decided by one `isdecimal` test over its
 join, and value by value only when that test fails. Both orders are computed
 by C-level sorts: the integer order as a stable sort by `int` (by length, for
@@ -19,13 +21,20 @@ sorted by the same order computed from the digits (`_int_order`).
 Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
 
-`load_csv` reads the file through `csv.reader` in blocks of records. A block
-whose records all have the header's width holds no blank row (past one field
-a row cannot be blank), so its rows are projected and its weight column
-checked and converted by C-level maps over the block. Only a block with a
-blank row or a wrong width, a one-column file, or a file whose fields need
-stripping (decided once per file) is checked row by row. A failed check
-re-reads the file row by row, so an error names the same row either way.
+`load_csv` reads the whole file once and turns it into one flat list of
+fields, row after row. A file without a quote is split by `str` methods
+(`_split_fields`), with no list or tuple per row: its records are its lines,
+ended by `\r\n`, `\r` or `\n` as for `csv.reader`, and its fields the text
+between separators. When the file's separators and line ends alone show every
+line at the header's width, one `replace` and one `split` give every field;
+otherwise each line's separators are counted, and a line of another width
+must be blank. A file with a quote is split by `csv.reader`. Stripping
+(decided once per file), the weight column's parse and the columns are
+C-level maps and slices over the flat list. A failed check re-reads the file
+row by row, so an error names the same row on either path, and a field
+longer than `csv.field_size_limit()` is an `IngestError` on both. A `Table`
+holds one tuple per column: its rows are distinct when one column's values
+are, and otherwise one dict over the zipped rows decides.
 
 `load_csv`, `load_vertex_weights`, `Database.build` and `preprocess.prepare`
 run with the cyclic GC paused (`_gc_paused`). What they build forms no
@@ -46,11 +55,12 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property, partial, wraps
-from itertools import chain, compress, islice
+from functools import cached_property, wraps
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
@@ -61,11 +71,6 @@ from .errors import IngestError, SchemaError
 _INT_RE = re.compile(r"^[+-]?\d+$")
 # A weight column's texts joined by newlines, each one an `_INT_RE` match.
 _INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
-# Reader records are checked, projected and their weights parsed this many at
-# a time. Weight texts kept to the end of the file would sit between the
-# rows' values in memory, and `Database.build` reads values spread that way
-# more slowly.
-_WEIGHT_BLOCK = 4096
 # What can make a field differ from its stripped text: whitespace other than
 # line ends, which the reader consumes outside quotes, and the quote, inside
 # which a field can hold anything. `\s` and `str.strip` test the same
@@ -73,6 +78,9 @@ _WEIGHT_BLOCK = 4096
 _STRIP_NEEDED_RE = re.compile(r'[^\S\r\n]|"')
 # The same characters within ASCII, each found by a C-level substring search.
 _ASCII_STRIP_NEEDED = '\t\x0b\x0c\x1c\x1d\x1e\x1f "'
+# Every byte but the separator and the line end, which UTF-8 never uses
+# inside a longer sequence.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -144,41 +152,31 @@ def _leading_zero(numerals: List[str]) -> bool:
     return bool(head) and head[0].startswith("0")
 
 
-def _take_weights(texts: List[str], weights: List[int]) -> bool:
-    """Move the values of a block of stripped weight texts onto `weights`.
-    False, with nothing moved, when one of them is not a 64-bit integer
-    literal (`_parse_weight` then names it)."""
+def _take_weights(texts: List[str]) -> Optional[Tuple[int, ...]]:
+    """The values of a column of stripped weight texts; None when one of
+    them is not a 64-bit integer literal (`_parse_weight` then names it)."""
     if not texts:
-        return True
+        return ()
     # Unsigned digit strings pass the `isdecimal` test of their join without
     # the regex; an empty text, which the join hides, then fails at `int`.
     if not "".join(texts).isdecimal() and not _INT_COLUMN_RE.fullmatch(
         "\n".join(texts)
     ):
-        return False
+        return None
     try:
-        values = list(map(int, texts))
+        values = tuple(map(int, texts))
     except ValueError:
         # A quoted text holding the separator ("1\n2"), or one past the
         # interpreter's digit limit.
-        return False
+        return None
     if min(values) < INT64_MIN or max(values) > INT64_MAX:
-        return False
-    weights += values
-    return True
-
-
-def _strip_needed(fh) -> bool:
-    """Whether any field of the open file can differ from its stripped text.
-    Reads the file in chunks, never all of it at once, and rewinds it."""
-    chunks = iter(partial(fh.read, 1 << 20), "")
-    found = any(map(_chunk_strip_needed, chunks))
-    fh.seek(0)
-    return found
+        return None
+    return values
 
 
 def _chunk_strip_needed(chunk: str) -> bool:
-    """Whether `_STRIP_NEEDED_RE` matches somewhere in `chunk`. An ASCII
+    """Whether `_STRIP_NEEDED_RE` matches somewhere in `chunk`, so that some
+    field of a file holding it can differ from its stripped text. An ASCII
     chunk is searched once per character, in C, which is faster than the
     regex's negated class."""
     if chunk.isascii():
@@ -200,12 +198,22 @@ def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
 
 @dataclass(frozen=True)
 class Table:
-    """A parsed CSV file: raw string values, weight column already split off."""
+    """A parsed CSV file, held by column: one tuple of raw string values per
+    column, the weight column already split off, and the row count `size`
+    (a table without columns has no other place to keep it)."""
 
     name: str
     columns: Tuple[str, ...]
-    rows: Tuple[Tuple[str, ...], ...]
+    column_values: Tuple[Tuple[str, ...], ...]
+    size: int
     weights: Optional[Tuple[int, ...]] = None
+
+    @property
+    def rows(self) -> Tuple[Tuple[str, ...], ...]:
+        """The rows in order, zipped from the columns on each read."""
+        if not self.column_values:
+            return ((),) * self.size
+        return tuple(zip(*self.column_values))
 
     @classmethod
     def from_rows(
@@ -231,36 +239,55 @@ class Table:
             raise IngestError(
                 f"{name}: {len(w)} weights for {len(str_rows)} rows"
             )
-        return _dedup_table(name, columns, str_rows, w, source=name)
+        values = tuple(zip(*str_rows)) if str_rows else ((),) * len(columns)
+        return _dedup_table(name, columns, values, len(str_rows), w, source=name)
 
 
 def _dedup_table(
     name: str,
     columns: Tuple[str, ...],
-    rows: Sequence[Tuple[str, ...]],
-    weights: Optional[Sequence[int]],
+    values: Tuple[Tuple[str, ...], ...],
+    size: int,
+    weights: Optional[Tuple[int, ...]],
     source: str,
 ) -> Table:
-    """Keep the first occurrence of each row; a repeat must repeat its weight."""
+    """Keep the first occurrence of each row; a repeat must repeat its weight.
+    A column whose values are all distinct makes the rows distinct, so only
+    a table without one has its rows hashed."""
+    if any(len(set(column)) == size for column in values):
+        return Table(name, columns, values, size, weights)
+    rows = list(zip(*values)) if values else [()] * size
     if weights is None:
-        return Table(name=name, columns=columns, rows=tuple(dict.fromkeys(rows)))
-    first: Dict[Tuple[str, ...], int] = dict(zip(rows, weights))
-    if len(first) < len(rows):
-        # Some row repeats; `first` holds its last weight, so check and
-        # rebuild row by row.
-        first = {}
-        for row, w in zip(rows, weights):
-            if first.setdefault(row, w) != w:
-                raise IngestError(
-                    f"{source}: duplicated row {row} with conflicting weights "
-                    f"{first[row]} vs {w}"
-                )
-    return Table(
-        name=name,
-        columns=columns,
-        rows=tuple(first),
-        weights=tuple(first.values()),
-    )
+        first: Dict[Tuple[str, ...], Optional[int]] = dict.fromkeys(rows)
+    else:
+        first = dict(zip(rows, weights))
+        if len(first) < size:
+            # Some row repeats; `first` holds its last weight, so check and
+            # rebuild row by row.
+            first = {}
+            for row, w in zip(rows, weights):
+                if first.setdefault(row, w) != w:
+                    raise IngestError(
+                        f"{source}: duplicated row {row} with conflicting "
+                        f"weights {first[row]} vs {w}"
+                    )
+    if len(first) < size:
+        values = tuple(zip(*first)) if values else ()
+        if weights is not None:
+            weights = tuple(first.values())
+    return Table(name, columns, values, len(first), weights)
+
+
+def _blank_line(line: str) -> bool:
+    """Whether an unquoted line is a blank row: with no separator, its one
+    field is whitespace or empty (a separator is not whitespace)."""
+    return not line.strip()
+
+
+def _blank_record(raw: Sequence[str]) -> bool:
+    """Whether a reader record is a blank row: no field, or one field that
+    is whitespace or empty."""
+    return not raw or (len(raw) == 1 and not raw[0].strip())
 
 
 @_gc_paused
@@ -271,84 +298,148 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
     every row; it is removed from the join schema and attached as the tuple
     weight. Duplicate rows are collapsed (set semantics); duplicates with
     conflicting weights are an ingestion error. Fields are stripped of
-    surrounding whitespace, and blank lines are skipped.
+    surrounding whitespace, and blank lines are skipped. A field longer than
+    `csv.field_size_limit()` is an ingestion error.
     """
     with open(path, newline="") as fh:
-        strip = _strip_needed(fh)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: missing header row") from None
-        header = tuple(map(str.strip, header))
-        width = len(header)
-        widx: Optional[int] = None
-        if weight_column is not None:
-            if weight_column not in header:
-                raise SchemaError(
-                    f"{path}: weight column {weight_column!r} not in header "
-                    f"{list(header)}"
-                )
-            widx = header.index(weight_column)
-        keep = row_getter([i for i in range(width) if i != widx])
-        columns = keep(header)
-        # Past one field a row cannot be blank, so unless fields need
-        # stripping, a block whose rows all have the header's width needs no
-        # per-row check.
-        bulk = width > 1 and not strip
-        rows: List[Tuple[str, ...]] = []
-        weights: List[int] = []
-        while True:
-            block = list(islice(reader, _WEIGHT_BLOCK))
-            if not block:
-                break
-            if not bulk or set(map(len, block)) != {width}:
-                block = _checked_rows(block, width, strip, path, widx)
-            rows += map(keep, block)
-            if widx is not None and not _take_weights(
-                list(map(itemgetter(widx), block)), weights
-            ):
-                _raise_first_bad_row(path, width, widx)
-    if len(columns) < 2:
-        # One position is read by a slice, which keeps a reader row a list.
-        rows = list(map(tuple, rows))
+        text = fh.read()
+    strip = _chunk_strip_needed(text)
+    fields_of = _split_fields if '"' not in text else _reader_fields
+    header, widx, fields = fields_of(path, text, weight_column)
+    del text
+    if strip:
+        fields = list(map(str.strip, fields))
+    width = len(header)
+    if width == 1:
+        fields = list(filter(None, fields))  # a one-field row is blank if empty
+    weights = None
+    if widx is not None:
+        weights = _take_weights(fields[widx::width])
+        if weights is None:
+            _raise_first_bad_row(path, weight_column)
+    kept = [i for i in range(width) if i != widx]
     return _dedup_table(
-        name, columns, rows, weights if widx is not None else None, source=path
+        name,
+        tuple(header[i] for i in kept),
+        tuple(tuple(fields[i::width]) for i in kept),
+        len(fields) // width if width else 0,
+        weights,
+        source=path,
     )
 
 
-def _checked_rows(
-    block: List[List[str]], width: int, strip: bool, path: str,
-    widx: Optional[int],
-) -> List[Sequence[str]]:
-    """The block's rows without its blank ones, stripped if `strip`; the
-    first bad row's error if a row has the wrong width."""
-    out: List[Sequence[str]] = []
-    for raw in block:
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        if len(raw) != width:
-            _raise_first_bad_row(path, width, widx)
-        out.append(tuple(map(str.strip, raw)) if strip else raw)
-    return out
+def _parse_header(
+    path: str, raw: Sequence[str], weight_column: Optional[str]
+) -> Tuple[Tuple[str, ...], Optional[int]]:
+    """The stripped header and the weight column's position in it."""
+    header = tuple(map(str.strip, raw))
+    if weight_column is None:
+        return header, None
+    if weight_column not in header:
+        raise SchemaError(
+            f"{path}: weight column {weight_column!r} not in header "
+            f"{list(header)}"
+        )
+    return header, header.index(weight_column)
 
 
-def _raise_first_bad_row(path: str, width: int, widx: Optional[int]) -> NoReturn:
-    """Re-read the file row by row and raise the error of its first bad row,
-    a wrong field count or an invalid weight. Rows are numbered by reader
-    record, the header being row 1 and blank rows counted."""
+def _split_fields(
+    path: str, text: str, weight_column: Optional[str]
+) -> Tuple[Tuple[str, ...], Optional[int], List[str]]:
+    """The header, the weight column's position and the data fields row
+    after row, blank rows left out but for those of a one-column file, of a
+    file without quotes. Such a file's records are its lines, each ended by
+    `\r\n`, `\r` or `\n` as for the reader, and a field is the text between
+    separators, so `str` methods split it."""
+    if "\r" in text:
+        # Replacing `\r\n` first leaves each other `\r` a record end.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text:
+        raise IngestError(f"{path}: missing header row")
+    if not text.endswith("\n"):
+        text += "\n"
+    # A line of `2 * step - 1` characters or more covers a whole stretch
+    # [i, i + step) with i a multiple of `step`; when each such stretch holds
+    # a line end, no line, and so no field, is longer than `limit`.
+    limit = csv.field_size_limit()
+    step = limit // 2 + 1
+    if any(text.find("\n", i, i + step) < 0 for i in range(0, len(text), step)):
+        if max(map(len, text.replace("\n", ",").split(","))) > limit:
+            _raise_first_bad_row(path, weight_column)
+    first = text[: text.index("\n")]
+    header, widx = _parse_header(path, first.split(",") if first else [], weight_column)
+    width = len(header)
+    # The file's separators and line ends alone are `width - 1` separators
+    # and a line end per line exactly when every line has the header's
+    # width. A line of another width must be blank.
+    skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if width and skeleton == (b"," * (width - 1) + b"\n") * skeleton.count(b"\n"):
+        fields = text.replace("\n", ",").split(",")
+        fields.pop()  # after the last line end
+        del fields[:width]
+        return header, widx, fields
+    records = text.split("\n")
+    records.pop()
+    del records[0]
+    sizes = list(map(str.count, records, repeat(",")))
+    records = _drop_blank(records, sizes, width - 1, _blank_line, path, weight_column)
+    return header, widx, ",".join(records).split(",") if records else []
+
+
+def _reader_fields(
+    path: str, text: str, weight_column: Optional[str]
+) -> Tuple[Tuple[str, ...], Optional[int], List[str]]:
+    """As `_split_fields`, for a file with quotes, which `csv.reader` splits:
+    a quoted field can hold separators and line ends."""
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:  # a field longer than `csv.field_size_limit()`
+        _raise_first_bad_row(path, weight_column)
+    header, widx = _parse_header(path, records[0], weight_column)
+    del records[0]
+    sizes = list(map(len, records))
+    records = _drop_blank(records, sizes, len(header), _blank_record, path, weight_column)
+    return header, widx, list(chain.from_iterable(records))
+
+
+def _drop_blank(
+    records: List, sizes: List[int], size: int, blank: Callable[..., bool],
+    path: str, weight_column: Optional[str],
+) -> List:
+    """The records whose size is `size`. Every other record must be blank,
+    or the first bad row's error is raised; past one field a record is not
+    blank, so only records of another size are tested."""
+    if not all(map(blank, compress(records, map(size.__ne__, sizes)))):
+        _raise_first_bad_row(path, weight_column)
+    return list(compress(records, map(size.__eq__, sizes)))
+
+
+def _raise_first_bad_row(path: str, weight_column: Optional[str]) -> NoReturn:
+    """Re-read the file record by record and raise the error of its first
+    bad row: an overlong field, a wrong field count or an invalid weight,
+    after the header's own errors. Rows are numbered by reader record, the
+    header being row 1 and blank rows counted."""
+    header: Tuple[str, ...] = ()
+    widx: Optional[int] = None
+    row_no = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_no, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != width:
-                raise IngestError(
-                    f"{path}:{row_no}: expected {width} fields, got {len(raw)}"
-                )
-            if widx is not None:
-                _parse_weight(raw[widx].strip(), row_no, path)
+        try:
+            for row_no, raw in enumerate(csv.reader(fh), start=1):
+                if row_no == 1:
+                    header, widx = _parse_header(path, raw, weight_column)
+                elif _blank_record(raw):
+                    continue
+                elif len(raw) != len(header):
+                    raise IngestError(
+                        f"{path}:{row_no}: expected {len(header)} fields, "
+                        f"got {len(raw)}"
+                    )
+                elif widx is not None:
+                    _parse_weight(raw[widx].strip(), row_no, path)
+        except csv.Error as exc:
+            # With the default dialect, on a file opened with `newline=""`,
+            # the reader's one error is a field past its size limit.
+            raise IngestError(f"{path}:{row_no + 1}: {exc}") from None
     raise IngestError(f"{path}: changed while it was read")
 
 
@@ -360,20 +451,24 @@ def load_vertex_weights(path: str) -> Dict[str, int]:
     the same constant listed twice with different weights is an error.
     """
     out: Dict[str, int] = {}
+    row_no = 0
     with open(path, newline="") as fh:
-        for row_no, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != 2:
-                raise IngestError(f"{path}:{row_no}: expected constant,weight")
-            constant = raw[0].strip()
-            weight = _parse_weight(raw[1], row_no, path)
-            if constant in out and out[constant] != weight:
-                raise IngestError(
-                    f"{path}:{row_no}: constant {constant!r} already has weight "
-                    f"{out[constant]}, conflicting {weight}"
-                )
-            out[constant] = weight
+        try:
+            for row_no, raw in enumerate(csv.reader(fh), start=1):
+                if not raw or (len(raw) == 1 and not raw[0].strip()):
+                    continue
+                if len(raw) != 2:
+                    raise IngestError(f"{path}:{row_no}: expected constant,weight")
+                constant = raw[0].strip()
+                weight = _parse_weight(raw[1], row_no, path)
+                if constant in out and out[constant] != weight:
+                    raise IngestError(
+                        f"{path}:{row_no}: constant {constant!r} already has "
+                        f"weight {out[constant]}, conflicting {weight}"
+                    )
+                out[constant] = weight
+        except csv.Error as exc:  # a field past the size limit
+            raise IngestError(f"{path}:{row_no + 1}: {exc}") from None
     return out
 
 
@@ -425,12 +520,13 @@ class Database:
         vertex_weights: Optional[Dict[str, int]] = None,
     ) -> "Database":
         tables = list(tables)
-        # Every constant once, in order of first appearance. Rows come in
-        # file order, so the sorts below meet the runs a file already holds.
-        # The ids are written into the same dict once the order is known.
-        table_rows = chain.from_iterable(t.rows for t in tables)
+        # Every constant once, in order of first appearance, column after
+        # column. Columns come in file order, so the sorts below meet the
+        # runs a file already holds. The ids are written into the same dict
+        # once the order is known.
+        columns = chain.from_iterable(t.column_values for t in tables)
         encode = dict.fromkeys(
-            chain(chain.from_iterable(table_rows), vertex_weights or ())
+            chain(chain.from_iterable(columns), vertex_weights or ())
         )
         # One total order for the whole domain: numeric when everything is an
         # integer literal, bytewise otherwise (a pairwise mixed rule would not
@@ -457,12 +553,12 @@ class Database:
         lookup = encode.__getitem__
         relations = {}
         for t in tables:
-            # Every row has len(t.columns) values, so zipping one iterator
-            # over the encoded values with itself regroups them into rows.
-            # Table rows are distinct and the encoding is injective, so the
-            # encoded rows are distinct too (see `Relation`).
-            ids = map(lookup, chain.from_iterable(t.rows))
-            rows = tuple(zip(*[ids] * len(t.columns))) if t.columns else t.rows
+            # Each column is encoded on its own, then the id columns are
+            # zipped into rows once. Table rows are distinct and the encoding
+            # is injective, so the encoded rows are distinct too (see
+            # `Relation`).
+            ids = [list(map(lookup, column)) for column in t.column_values]
+            rows = tuple(zip(*ids)) if ids else t.rows
             relations[t.name] = Relation(t.name, t.columns, rows, t.weights)
         vw = None
         if vertex_weights:

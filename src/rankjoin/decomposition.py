@@ -77,16 +77,20 @@ class TreeDecomposition:
 
     def pass_through(self) -> Dict[int, int]:
         """Node id -> atom index, for each node whose bag is that atom's
-        relation as it is: the node's one cover atom has the bag's variables
-        in `var_order`, and no other atom is assigned to the node. Bag
-        materialization passes such a relation's rows and weights through,
-        and tuple scoring reads such a bag's weights by position."""
+        relation with each row's values reordered: the node's one cover atom
+        lists the bag's variables, each once, in `var_order` or another
+        order, and no other atom is assigned to the node. A permutation
+        keeps distinct rows distinct, so bag materialization passes such a
+        relation's rows, reordered, and its weight column through, and tuple
+        scoring reads such a bag's weights by position."""
         atoms = self.query.atoms
+        # `var_order` names each bag variable once, so equal sorted lists
+        # leave the atom no repeated variable.
         out = {
             nid: node.cover[0]
             for nid, node in self.nodes.items()
             if len(node.cover) == 1
-            and atoms[node.cover[0]].variables == node.var_order
+            and sorted(atoms[node.cover[0]].variables) == sorted(node.var_order)
         }
         for ai, owner in self.atom_assignment.items():
             # Another atom assigned to the node filters its bag.

@@ -144,9 +144,10 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
     atoms assigned to the node (they may constrain the bag beyond the cover).
 
     A pass-through node (`TreeDecomposition.pass_through`) takes its atom's
-    relation's rows and weight column as they are: the rows are already
-    distinct (see `data.Relation`). Other bags are sorted and carry no
-    weights."""
+    relation's rows, each reordered to `var_order` when the atom lists the
+    variables in another order, and its weight column as it is: the rows
+    are already distinct (see `data.Relation`), and stay in the relation's
+    order. Other bags are sorted and carry no weights."""
     q = d.query
     passed = d.pass_through()
     filters: Dict[int, List[int]] = defaultdict(list)
@@ -160,8 +161,13 @@ def materialize_bags(db: Database, d: TreeDecomposition) -> Dict[int, Relation]:
             out[nid] = Relation(f"bag{nid}", (), ((),))
             continue
         if nid in passed:
-            rel = db.relation(q.atoms[passed[nid]].relation)
-            out[nid] = Relation(f"bag{nid}", node.var_order, rel.rows, rel.weights)
+            atom = q.atoms[passed[nid]]
+            rel = db.relation(atom.relation)
+            rows = rel.rows
+            if atom.variables != node.var_order:
+                order = row_getter(map(atom.variables.index, node.var_order))
+                rows = tuple(map(order, rows))
+            out[nid] = Relation(f"bag{nid}", node.var_order, rows, rel.weights)
             continue
         atoms = [q.atoms[ai] for ai in node.cover]
         schema: List[str] = []

@@ -167,6 +167,22 @@ def test_overlong_weight_is_a_validation_error(tmp_path, capsys):
     assert "R.csv:2: weight '999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["data", "header"])
+def test_field_past_the_size_limit_is_a_validation_error(tmp_path, capsys, where):
+    """A field longer than `csv.field_size_limit()` names its file and row,
+    and exits 2, wherever it is."""
+    big = "b" * 140_000
+    text = f"x,y,wt\n1,2,3\n{big},2,3\n"
+    if where == "header":
+        text = f"x,{big},wt\n1,2,3\n"
+    args = _one_relation(tmp_path, text)
+    assert main(["enumerate", *args, "--rank", "tuple_sum",
+                 "--weight-col", "wt"]) == 2
+    row = 3 if where == "data" else 1
+    assert f"R.csv:{row}: field larger than field limit (131072)" in (
+        capsys.readouterr().err)
+
+
 def test_overlong_integer_constant_enumerates(tmp_path, capsys):
     nines = "9" * 5000
     args = _one_relation(tmp_path, f"x,y\n{nines},1\n2,1\n")

@@ -1,20 +1,19 @@
-"""`load_csv` reads a file in blocks of `_WEIGHT_BLOCK` reader records and
-checks a block row by row only when it holds a blank row or a wrong width, or
-when the file has one column or needs stripping. These files span three
-blocks (two full ones and three records), put the rows that force the
-per-row path on both sides of each block boundary, and must give the same
-`Table`, or the same error with the same row number, as the per-row
-reference loader."""
+"""Long files against the per-row reference loader. `load_csv` skips blank
+rows, checks widths and parses weights over the whole file at once; these
+files hold 8,195 data records and put blank rows, whitespace, wrong widths
+and bad weights around records 4,096 and 8,192, where a block-wise loader
+reading 4,096 records at a time would cut them. Each must give the same
+`Table`, or the same error with the same row number, as the reference."""
 
 import pytest
 
 from rankjoin import IngestError, load_csv
-from rankjoin.data import _WEIGHT_BLOCK
 
 from test_ingest_equivalence import outcome, reference_load_csv
 
-N = 2 * _WEIGHT_BLOCK + 3  # data records: two full blocks and three more
-BOUNDARIES = (_WEIGHT_BLOCK, 2 * _WEIGHT_BLOCK)
+BLOCK = 4096
+N = 2 * BLOCK + 3  # data records: two blocks' worth and three more
+BOUNDARIES = (BLOCK, 2 * BLOCK)
 
 
 def _records(width=3, blank_at=(), blanks=("", " \t"), **replace):
@@ -63,13 +62,13 @@ def test_blank_and_whitespace_rows_on_both_sides_of_a_boundary(
 
 
 def test_whitespace_fields_across_blocks(tmp_path):
-    """A file that needs stripping takes the per-row path in every block."""
+    """A file that needs stripping has every field stripped."""
     records = [f" k{i} ,\th{i % 7}, {i} " for i in range(N)]
     table = _same_as_reference(_write(tmp_path, "x, y ,w", records), "w")
     assert table.rows[-1] == (f"k{N - 1}", f"h{(N - 1) % 7}")
 
 
-@pytest.mark.parametrize("record", [2 * _WEIGHT_BLOCK + 1, _WEIGHT_BLOCK - 1])
+@pytest.mark.parametrize("record", [2 * BLOCK + 1, BLOCK - 1])
 def test_wrong_field_count(tmp_path, record):
     records = _records(blank_at={record - 3}, **{f"r{record}": "k,1"})
     path = _write(tmp_path, "x,y,w", records)
@@ -88,9 +87,9 @@ WEIGHTS = {
 @pytest.mark.parametrize("kind", sorted(WEIGHTS))
 def test_invalid_weight_in_the_third_block(tmp_path, kind):
     text, message = WEIGHTS[kind]
-    record = 2 * _WEIGHT_BLOCK + 2
+    record = 2 * BLOCK + 2
     records = _records(
-        blank_at={_WEIGHT_BLOCK}, **{f"r{record}": f"k,h,{text}"}
+        blank_at={BLOCK}, **{f"r{record}": f"k,h,{text}"}
     )
     path = _write(tmp_path, "x,y,w", records)
     assert _same_as_reference(path, "w") == (
@@ -100,8 +99,8 @@ def test_invalid_weight_in_the_third_block(tmp_path, kind):
 
 @pytest.mark.parametrize("blanks", [(" \t",), ("", " ")])
 def test_width_one_files_with_whitespace_rows(tmp_path, blanks):
-    """One column: a whitespace-only row is blank, and looks like a row of the
-    right width, so every block is checked row by row."""
+    """One column: a whitespace-only row is blank, though it looks like a
+    row of the right width."""
     records = _records(width=1, blank_at=AROUND_BOUNDARIES, blanks=blanks)
     table = _same_as_reference(_write(tmp_path, "x", records), None)
     assert len(table.rows) == N - len(AROUND_BOUNDARIES)

@@ -11,9 +11,10 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rankjoin import IngestError, SchemaError, Table, load_csv
+from rankjoin import IngestError, SchemaError, Table, load_csv, load_vertex_weights
 from rankjoin.data import _STRIP_NEEDED_RE, _chunk_strip_needed
 
 INT_RE = re.compile(r"^[+-]?\d+$")
@@ -64,7 +65,7 @@ def reference_load_csv(path, name, weight_column=None):
                 weights.append(reference_parse_weight(raw[widx], row_no, path))
             rows.append(tuple(raw[i] for i in kept))
     if weights is None:
-        return Table(name, columns, tuple(dict.fromkeys(rows)))
+        return Table.from_rows(name, columns, dict.fromkeys(rows))
     first = {}
     for row, w in zip(rows, weights):
         if first.setdefault(row, w) != w:
@@ -72,7 +73,7 @@ def reference_load_csv(path, name, weight_column=None):
                 f"{path}: duplicated row {row} with conflicting weights "
                 f"{first[row]} vs {w}"
             )
-    return Table(name, columns, tuple(first), tuple(first.values()))
+    return Table.from_rows(name, columns, first, first.values())
 
 
 def outcome(load, path, weight_column):
@@ -219,3 +220,145 @@ def test_long_files_match_reference():
     check(_long_file(10_000, bad_at={5_000, 9_000}), "w")
     check(_long_file(10_000, bad_at={9_000}, ragged_at={6_000}), "w")
     check(_long_file(10_000, bad_at={100}, ragged_at={6_000}), "w")
+
+
+# Unquoted files: no field holds a quote, a separator or a line end, so
+# `load_csv` splits the text itself instead of running the reader.
+UNQUOTED_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "1", "2", "é", "a b", "x\x85y", "z "]),
+    INTS,
+)
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def unquoted_files(draw):
+    width = draw(st.integers(1, 3))
+    names = ["x", "y", "w"][:width]
+    # "x" on a one-column file is a weight-only file.
+    weight_column = draw(st.sampled_from([None, "w", "y", "x", "z"]))
+    mixed = draw(st.booleans())
+    ending = draw(ENDINGS)
+    lines = [",".join(draw(SPACE) + n + draw(SPACE) for n in names)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(SPACE))
+            continue
+        n = width if kind == "row" else draw(st.integers(0, 4))
+        cells = []
+        for i in range(n):
+            if names[i:i + 1] == [weight_column]:
+                values = st.one_of(INTS, INTS, BAD_INTS.filter(
+                    lambda t: "\n" not in t))
+            else:
+                values = UNQUOTED_TOKENS
+            cells.append(draw(SPACE) + draw(values) + draw(SPACE))
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(1, draw(SPACE))  # a blank first data line
+    text = ""
+    for line in lines:
+        text += line + (draw(ENDINGS) if mixed else ending)
+    if draw(st.booleans()):
+        text = text[: -len(ending)] if text.endswith(ending) else text.rstrip("\r\n")
+    return text, weight_column
+
+
+@settings(max_examples=400, deadline=None)
+@given(unquoted_files())
+@example(("x,w\n", "w"))
+@example(("x,w", "w"))
+@example(("x\r\n\r\n1\r\n \r\n2", None))
+@example(("w\n1\n2\n1\n", "w"))
+@example(("w\n1\n\n2\n", "w"))
+@example(("w\n1\n2\n1\nx\n", "w"))
+@example(("x,w\na,1\rb,2\r\nc,3\n\n", "w"))
+@example(("x,w\r\r\na,1\r\r\n", "w"))
+@example(("x,y,w\na,b,1\nc,2\n\nd,e,bad\n", "w"))
+@example(("x,y,w\na,b,bad\nc,2\n", "w"))
+@example((" \n1\n", None))
+@example(("\n\n1\n", None))
+@example(("\n", None))
+def test_unquoted_load_csv_matches_reference(case):
+    text, weight_column = case
+    assert '"' not in text
+    check(text, weight_column)
+
+
+def _load(tmp_path, text, weight_column="w"):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    return str(path), outcome(load_csv, str(path), weight_column)
+
+
+def test_rows_are_distinct_when_one_column_is_a_key(tmp_path):
+    """`y` repeats, but `x` is a key, so the rows are kept as read."""
+    path, got = _load(tmp_path, "x,y,w\n1,a,5\n2,a,6\n3,b,5\n")
+    assert got == outcome(reference_load_csv, path, "w")
+    assert got.column_values == (("1", "2", "3"), ("a", "a", "b"))
+    assert (got.size, got.weights) == (3, (5, 6, 5))
+
+
+def test_repeated_rows_without_a_key_column(tmp_path):
+    """No column is a key: repeats collapse to their first occurrence."""
+    text = "x,y,w\n1,a,5\n2,a,6\n1,b,7\n1,a,5\n2,a,6\n"
+    path, got = _load(tmp_path, text)
+    assert got == outcome(reference_load_csv, path, "w")
+    assert got.rows == (("1", "a"), ("2", "a"), ("1", "b"))
+    assert (got.size, got.weights) == (3, (5, 6, 7))
+    path, got = _load(tmp_path, text, None)
+    assert got == outcome(reference_load_csv, path, None)
+    assert got.rows == (("1", "a", "5"), ("2", "a", "6"), ("1", "b", "7"))
+
+
+def test_conflicting_repeat_without_a_key_column(tmp_path):
+    path, got = _load(tmp_path, "x,y,w\n1,a,5\n2,a,6\n1,b,7\n2,a,8\n")
+    assert got == outcome(reference_load_csv, path, "w")
+    assert got == (
+        IngestError,
+        f"{path}: duplicated row ('2', 'a') with conflicting weights 6 vs 8",
+    )
+
+
+def test_from_rows_dedups_like_load_csv():
+    t = Table.from_rows("R", ("x", "y"), [(1, "a"), (2, "a"), (1, "a")], [4, 5, 4])
+    assert (t.rows, t.weights, t.size) == ((("1", "a"), ("2", "a")), (4, 5), 2)
+    empty = Table.from_rows("R", ("x", "y"), [])
+    assert (empty.column_values, empty.rows, empty.size) == (((), ()), (), 0)
+    nullary = Table.from_rows("R", (), [(), ()], [3, 3])
+    assert (nullary.rows, nullary.weights) == (((),), (3,))
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_field_past_the_size_limit(tmp_path, quoted):
+    """A field one character past `csv.field_size_limit()` is an
+    `IngestError` naming its row, on the split path and on the reader path
+    alike; a field of exactly the limit loads."""
+    first = '"a",1' if quoted else "a,1"
+    path, got = _load(tmp_path, f"x,w\n{first}\n{'b' * (LIMIT + 1)},2\n")
+    assert got == (IngestError, f"{path}:3: field larger than field limit ({LIMIT})")
+    path, got = _load(tmp_path, f"x,w\n{first}\n\n{'b' * LIMIT},2\n")
+    assert got.column_values == (("a", "b" * LIMIT),)
+    # A line longer than the limit whose fields are not.
+    long = ("c" * LIMIT, "d" * LIMIT)
+    path, got = _load(tmp_path, f"x,y,w\n{first},z\n{long[0]},{long[1]},3\n", None)
+    assert got.rows[1] == (*long, "3")
+
+
+def test_first_bad_row_wins_over_a_later_long_field(tmp_path):
+    path, got = _load(tmp_path, f"x,w\na\n{'b' * (LIMIT + 1)},2\n")
+    assert got == (IngestError, f"{path}:2: expected 2 fields, got 1")
+    path, got = _load(tmp_path, f"x,w\n{' ' * (LIMIT + 1)}\na\n")
+    assert got == (IngestError, f"{path}:2: field larger than field limit ({LIMIT})")
+
+
+def test_vertex_weight_field_past_the_size_limit(tmp_path):
+    path = tmp_path / "vw.csv"
+    path.write_text(f"a,1\n{'b' * (LIMIT + 1)},2\n")
+    with pytest.raises(IngestError) as info:
+        load_vertex_weights(str(path))
+    assert str(info.value) == f"{path}:2: field larger than field limit ({LIMIT})"

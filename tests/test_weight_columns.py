@@ -12,10 +12,14 @@ from rankjoin import (
     Relation,
     Table,
     WeightError,
+    gyo_join_tree,
+    materialize_bags,
     parse_query,
     parse_ranking,
     prepare,
 )
+
+from rankjoin.query import Atom, ConjunctiveQuery
 
 from helpers import engine_lines, oracle_lines, random_instance
 
@@ -27,14 +31,7 @@ def test_pass_through_path_builds_no_weight_map(monkeypatch):
     db, uq, d = random_instance("3path", 4)
     cq = uq.disjuncts[0]
     assert d.pass_through() == {nid: nid for nid in d.nodes}
-    built = []
-    real = Relation.weight_map.func
-
-    def spy(rel):
-        built.append(rel.name)
-        return real(rel)
-
-    monkeypatch.setattr(Relation, "weight_map", property(spy))
+    built = _spy_on_weight_maps(monkeypatch)
     rf = parse_ranking("tuple_sum")
     results = RankedCursor(prepare(db, cq, rf, d)).drain()
     assert results and built == []
@@ -44,8 +41,58 @@ def test_pass_through_path_builds_no_weight_map(monkeypatch):
     ]
 
 
+def _spy_on_weight_maps(monkeypatch):
+    """The names of the relations whose by-row map gets built."""
+    built = []
+    real = Relation.weight_map.func
+
+    def spy(rel):
+        built.append(rel.name)
+        return real(rel)
+
+    monkeypatch.setattr(Relation, "weight_map", property(spy))
+    return built
+
+
+def test_reordered_atom_passes_through_by_position(monkeypatch):
+    """`R(y,x)` under the bag order (x,y) is R's rows, each reordered, in
+    R's order, with R's weight column; scoring builds no by-row map."""
+    db = Database.build([
+        Table.from_rows("R", ("a", "b"), [(2, 1), (1, 3), (3, 3)], [5, 6, 7]),
+        Table.from_rows("S", ("a", "b"), [(1, 9), (3, 9)], [1, 2]),
+    ])
+    uq = parse_query("Q(x,y,z) :- R(y,x), S(y,z)")
+    cq = uq.disjuncts[0]
+    d = gyo_join_tree(cq)
+    nid = next(n for n, node in d.nodes.items() if node.cover == (0,))
+    assert d.nodes[nid].var_order == ("x", "y")
+    assert d.pass_through()[nid] == 0
+    r = db.relation("R")
+    bag = materialize_bags(db, d)[nid]
+    assert bag.rows == tuple((b, a) for a, b in r.rows)
+    assert bag.weights is r.weights
+    built = _spy_on_weight_maps(monkeypatch)
+    rf = parse_ranking("tuple_sum")
+    got, _ = engine_lines(db, cq, rf, d)
+    assert built == []
+    monkeypatch.undo()
+    assert got == oracle_lines(db, uq, rf)
+
+
+def test_repeated_variable_atom_is_not_passed_through():
+    """`R(x,x)` under the bag {x} would keep only R's rows with equal
+    values, so its bag is not R's rows reordered. The parser rejects the
+    atom, so the query is built directly."""
+    cq = ConjunctiveQuery(
+        "Q", ("x", "z"), (Atom("R", ("x", "x")), Atom("S", ("x", "z"))))
+    d = gyo_join_tree(cq)
+    (nid,) = [n for n, node in d.nodes.items() if node.cover == (0,)]
+    assert d.nodes[nid].var_order == ("x",)
+    assert nid not in d.pass_through()
+
+
 QUERIES = {
-    # The bag {x,y} is R's rows reordered, so it is computed, not passed.
+    # The bag {x,y} passes R through with each row reordered.
     "reordered": "Q(x,y,z) :- R(y,x), S(y,z)",
     "self_join": "Q(x,y,z) :- R(x,y), R(y,z)",
     "path": "Q(x,y,z,u) :- R(x,y), S(y,z), T(z,u)",
