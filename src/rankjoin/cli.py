@@ -140,7 +140,8 @@ class Job:
             try:
                 header = next(csv.reader(fh))
             except (StopIteration, csv.Error):
-                # No header, or an overlong field, which `load_csv` reports.
+                # No header, or a field the reader rejects (overlong, or a
+                # NUL before Python 3.11), which `load_csv` reports.
                 return False
         return column in [h.strip() for h in header]
 

@@ -22,13 +22,14 @@ Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
 
 `load_csv` reads the whole file once and turns it into one flat list of
-fields, row after row. A file without a quote is split by `str` methods
-(`_split_fields`), with no list or tuple per row: its records are its lines,
-ended by `\r\n`, `\r` or `\n` as for `csv.reader`, and its fields the text
-between separators. When the file's separators and line ends alone show every
-line at the header's width, one `replace` and one `split` give every field;
-otherwise each line's separators are counted, and a line of another width
-must be blank. A file with a quote is split by `csv.reader`. Stripping
+fields, row after row. A file without a quote or a NUL is split by `str`
+methods (`_split_fields`), with no list or tuple per row: its records are its
+lines, ended by `\r\n`, `\r` or `\n` as for `csv.reader`, and its fields the
+text between separators. When the file's separators and line ends alone show
+every line at the header's width, one `replace` and one `split` give every
+field; otherwise each line's separators are counted, and a line of another
+width must be blank. A file with a quote or a NUL is split by `csv.reader`,
+which rejects a NUL before Python 3.11. Stripping
 (decided once per file), the weight column's parse and the columns are
 C-level maps and slices over the flat list. A failed check re-reads the file
 row by row, so an error names the same row on either path, and a field
@@ -304,7 +305,10 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
     with open(path, newline="") as fh:
         text = fh.read()
     strip = _chunk_strip_needed(text)
-    fields_of = _split_fields if '"' not in text else _reader_fields
+    # Before Python 3.11 the reader rejects a NUL, so a file holding one is
+    # left to it as well, for both paths to agree.
+    split = '"' not in text and "\0" not in text
+    fields_of = _split_fields if split else _reader_fields
     header, widx, fields = fields_of(path, text, weight_column)
     del text
     if strip:
@@ -371,13 +375,16 @@ def _split_fields(
     width = len(header)
     # The file's separators and line ends alone are `width - 1` separators
     # and a line end per line exactly when every line has the header's
-    # width. A line of another width must be blank.
+    # width; then one `replace` and one `split` give every field, and the
+    # count of each line's separators below, several times dearer than this
+    # check, is spared.
     skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
     if width and skeleton == (b"," * (width - 1) + b"\n") * skeleton.count(b"\n"):
         fields = text.replace("\n", ",").split(",")
         fields.pop()  # after the last line end
         del fields[:width]
         return header, widx, fields
+    # A line of another width must be blank.
     records = text.split("\n")
     records.pop()
     del records[0]
@@ -393,7 +400,7 @@ def _reader_fields(
     a quoted field can hold separators and line ends."""
     try:
         records = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error:  # a field longer than `csv.field_size_limit()`
+    except csv.Error:  # an overlong field, or a NUL before Python 3.11
         _raise_first_bad_row(path, weight_column)
     header, widx = _parse_header(path, records[0], weight_column)
     del records[0]
@@ -438,7 +445,8 @@ def _raise_first_bad_row(path: str, weight_column: Optional[str]) -> NoReturn:
                     _parse_weight(raw[widx].strip(), row_no, path)
         except csv.Error as exc:
             # With the default dialect, on a file opened with `newline=""`,
-            # the reader's one error is a field past its size limit.
+            # the reader's errors are a field past its size limit and,
+            # before Python 3.11, a NUL.
             raise IngestError(f"{path}:{row_no + 1}: {exc}") from None
     raise IngestError(f"{path}: changed while it was read")
 
@@ -467,7 +475,7 @@ def load_vertex_weights(path: str) -> Dict[str, int]:
                         f"weight {out[constant]}, conflicting {weight}"
                     )
                 out[constant] = weight
-        except csv.Error as exc:  # a field past the size limit
+        except csv.Error as exc:  # an overlong field, or a NUL before 3.11
             raise IngestError(f"{path}:{row_no + 1}: {exc}") from None
     return out
 

@@ -166,6 +166,7 @@ def check(text, weight_column):
 @example(("x,w\na,1\nb\nc,bad\n", "w"))
 @example(("x,w\na,bad\nb\n", "w"))
 @example(("", None))
+@example(('x,w\n"a\0b",1\n', "w"))  # the reader rejects a NUL before 3.11
 def test_load_csv_matches_reference(case):
     check(*case)
 
@@ -280,6 +281,7 @@ def unquoted_files(draw):
 @example((" \n1\n", None))
 @example(("\n\n1\n", None))
 @example(("\n", None))
+@example(("x,w\na\0b,1\n\0,2\r\n", "w"))
 def test_unquoted_load_csv_matches_reference(case):
     text, weight_column = case
     assert '"' not in text
