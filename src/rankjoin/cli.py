@@ -122,8 +122,13 @@ class Job:
             path = os.path.join(self.data_dir, f"{name}.csv")
             if not os.path.exists(path):
                 raise IngestError(f"missing data file {path}")
-            wc = self.weight_col if self._header_has(path, self.weight_col) else None
-            tables.append(load_csv(path, name, weight_column=wc))
+            try:
+                table = load_csv(path, name, weight_column=self.weight_col)
+            except SchemaError:
+                # The weight column is not in this file's header (the only
+                # `SchemaError` of `load_csv`): the table is unweighted.
+                table = load_csv(path, name)
+            tables.append(table)
         vw = None
         if self.vertex_weights_path:
             vw = load_vertex_weights(self.vertex_weights_path)
@@ -131,19 +136,6 @@ class Job:
 
     def database(self, uq: UnionQuery) -> Database:
         return Database.build(*self.load(uq))
-
-    @staticmethod
-    def _header_has(path: str, column: Optional[str]) -> bool:
-        if column is None:
-            return False
-        with open(path, newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except (StopIteration, csv.Error):
-                # No header, or a field the reader rejects (overlong, or a
-                # NUL before Python 3.11), which `load_csv` reports.
-                return False
-        return column in [h.strip() for h in header]
 
     def ranking(self):
         if not self.rank_spec:

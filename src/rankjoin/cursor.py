@@ -202,8 +202,6 @@ class RankedCursor(Cursor):
     def _insert(self, nid, key, valuation, node_score, child_entries, pivot) -> None:
         p = self.prepared
         state = p.states[nid]
-        entry = new_cell(
-            state, p.model, p.counters, valuation, node_score, child_entries, pivot
-        )
+        entry = new_cell(state, p.model, valuation, node_score, child_entries, pivot)
         self._push(state.queues[key], entry)
         p.counters.inserts += 1

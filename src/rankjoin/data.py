@@ -22,20 +22,20 @@ Row work is done by getters compiled once per projection (`row_getter`) and
 mapped over the rows, never by a per-row generator.
 
 `load_csv` reads the whole file once and turns it into one flat list of
-fields, row after row. A file without a quote or a NUL is split by `str`
-methods (`_split_fields`), with no list or tuple per row: its records are its
-lines, ended by `\r\n`, `\r` or `\n` as for `csv.reader`, and its fields the
-text between separators. When the file's separators and line ends alone show
-every line at the header's width, one `replace` and one `split` give every
-field; otherwise each line's separators are counted, and a line of another
-width must be blank. A file with a quote or a NUL is split by `csv.reader`,
-which rejects a NUL before Python 3.11. Stripping
-(decided once per file), the weight column's parse and the columns are
-C-level maps and slices over the flat list. A failed check re-reads the file
-row by row, so an error names the same row on either path, and a field
-longer than `csv.field_size_limit()` is an `IngestError` on both. A `Table`
-holds one tuple per column: its rows are distinct when one column's values
-are, and otherwise one dict over the zipped rows decides.
+fields, row after row. A file without a quote or a NUL whose separators and
+line ends alone show every line at the header's width is split by one
+`replace` and one `split` (`_split_fields`), with no list or tuple per row:
+its records are its lines, ended by `\r\n`, `\r` or `\n` as for `csv.reader`,
+and its fields the text between separators. Every other file (a quote, a NUL,
+a blank line or a row of another width) is split by `csv.reader`, which
+rejects a NUL before Python 3.11. Stripping (decided once per file, by a
+search for each character it could remove), the weight column's parse (by
+`int`, one rule for the whole column and for a single weight) and the
+columns are C-level maps and slices over the flat list. A failed check
+re-reads the file row by row, so an error names the same row on either path,
+and a field longer than `csv.field_size_limit()` is an `IngestError` on both.
+A `Table` holds one tuple per column: its rows are distinct when one column's
+values are, and otherwise one dict over the zipped rows decides.
 
 `load_csv`, `load_vertex_weights`, `Database.build` and `preprocess.prepare`
 run with the cyclic GC paused (`_gc_paused`). What they build forms no
@@ -61,7 +61,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
@@ -70,15 +70,15 @@ from typing import (
 from .errors import IngestError, SchemaError
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
-# A weight column's texts joined by newlines, each one an `_INT_RE` match.
-_INT_COLUMN_RE = re.compile(r"[+-]?\d+(?:\n[+-]?\d+)*")
-# What can make a field differ from its stripped text: whitespace other than
-# line ends, which the reader consumes outside quotes, and the quote, inside
-# which a field can hold anything. `\s` and `str.strip` test the same
-# characters (`Py_UNICODE_ISSPACE`).
-_STRIP_NEEDED_RE = re.compile(r'[^\S\r\n]|"')
-# The same characters within ASCII, each found by a C-level substring search.
-_ASCII_STRIP_NEEDED = '\t\x0b\x0c\x1c\x1d\x1e\x1f "'
+# What can make a field differ from its stripped text: every character
+# `str.strip` removes (`str.isspace`; none lies above U+3000) but the line
+# ends, which the reader consumes outside quotes, and the quote, inside which
+# a field can hold anything. Each is searched for in C, and a search for a
+# character wider than any of the text's own returns at once.
+_STRIP_NEEDED = (
+    "\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000\""
+)
 # Every byte but the separator and the line end, which UTF-8 never uses
 # inside a longer sequence.
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -118,9 +118,12 @@ def _gc_paused(fn: Callable) -> Callable:
 
 
 def _parse_weight(text: str, row_no: int, path: str) -> int:
+    stripped = text.strip()
     try:
-        value = int(text) if _INT_RE.match(text.strip()) else None
-    except ValueError:  # past the interpreter's digit limit for `int`
+        # On a stripped text, `int` accepts exactly the `_INT_RE` matches and
+        # digits grouped by underscores.
+        value = None if "_" in stripped else int(stripped)
+    except ValueError:  # not a literal, or past the interpreter's digit limit
         value = None
     if value is None:
         raise IngestError(f"{path}:{row_no}: weight {text!r} is not a 64-bit integer")
@@ -155,34 +158,16 @@ def _leading_zero(numerals: List[str]) -> bool:
 
 def _take_weights(texts: List[str]) -> Optional[Tuple[int, ...]]:
     """The values of a column of stripped weight texts; None when one of
-    them is not a 64-bit integer literal (`_parse_weight` then names it)."""
-    if not texts:
-        return ()
-    # Unsigned digit strings pass the `isdecimal` test of their join without
-    # the regex; an empty text, which the join hides, then fails at `int`.
-    if not "".join(texts).isdecimal() and not _INT_COLUMN_RE.fullmatch(
-        "\n".join(texts)
-    ):
+    them fails `_parse_weight`'s rule (which then names it)."""
+    if "_" in "".join(texts):
         return None
     try:
         values = tuple(map(int, texts))
     except ValueError:
-        # A quoted text holding the separator ("1\n2"), or one past the
-        # interpreter's digit limit.
         return None
-    if min(values) < INT64_MIN or max(values) > INT64_MAX:
+    if values and (min(values) < INT64_MIN or max(values) > INT64_MAX):
         return None
     return values
-
-
-def _chunk_strip_needed(chunk: str) -> bool:
-    """Whether `_STRIP_NEEDED_RE` matches somewhere in `chunk`, so that some
-    field of a file holding it can differ from its stripped text. An ASCII
-    chunk is searched once per character, in C, which is faster than the
-    regex's negated class."""
-    if chunk.isascii():
-        return any(map(chunk.__contains__, _ASCII_STRIP_NEEDED))
-    return _STRIP_NEEDED_RE.search(chunk) is not None
 
 
 def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
@@ -279,12 +264,6 @@ def _dedup_table(
     return Table(name, columns, values, len(first), weights)
 
 
-def _blank_line(line: str) -> bool:
-    """Whether an unquoted line is a blank row: with no separator, its one
-    field is whitespace or empty (a separator is not whitespace)."""
-    return not line.strip()
-
-
 def _blank_record(raw: Sequence[str]) -> bool:
     """Whether a reader record is a blank row: no field, or one field that
     is whitespace or empty."""
@@ -304,12 +283,13 @@ def load_csv(path: str, name: str, weight_column: Optional[str] = None) -> Table
     """
     with open(path, newline="") as fh:
         text = fh.read()
-    strip = _chunk_strip_needed(text)
+    strip = any(map(text.__contains__, _STRIP_NEEDED))
+    parts = None
     # Before Python 3.11 the reader rejects a NUL, so a file holding one is
     # left to it as well, for both paths to agree.
-    split = '"' not in text and "\0" not in text
-    fields_of = _split_fields if split else _reader_fields
-    header, widx, fields = fields_of(path, text, weight_column)
+    if '"' not in text and "\0" not in text:
+        parts = _split_fields(path, text, weight_column)
+    header, widx, fields = parts or _reader_fields(path, text, weight_column)
     del text
     if strip:
         fields = list(map(str.strip, fields))
@@ -349,12 +329,15 @@ def _parse_header(
 
 def _split_fields(
     path: str, text: str, weight_column: Optional[str]
-) -> Tuple[Tuple[str, ...], Optional[int], List[str]]:
+) -> Optional[Tuple[Tuple[str, ...], Optional[int], List[str]]]:
     """The header, the weight column's position and the data fields row
-    after row, blank rows left out but for those of a one-column file, of a
-    file without quotes. Such a file's records are its lines, each ended by
-    `\r\n`, `\r` or `\n` as for the reader, and a field is the text between
-    separators, so `str` methods split it."""
+    after row of a file without quotes whose every line has the header's
+    width; None for any other file without quotes (a blank line, a row of
+    another width), which `_reader_fields` splits. The records of a file
+    without quotes are its lines, each ended by `\r\n`, `\r` or `\n` as for
+    the reader, and a field is the text between separators, so one
+    `replace` and one `split` give every field. A one-column file's blank
+    lines are empty fields, which `load_csv` drops."""
     if "\r" in text:
         # Replacing `\r\n` first leaves each other `\r` a record end.
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -374,51 +357,35 @@ def _split_fields(
     header, widx = _parse_header(path, first.split(",") if first else [], weight_column)
     width = len(header)
     # The file's separators and line ends alone are `width - 1` separators
-    # and a line end per line exactly when every line has the header's
-    # width; then one `replace` and one `split` give every field, and the
-    # count of each line's separators below, several times dearer than this
-    # check, is spared.
+    # and a line end per line exactly when every line has the header's width.
     skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if width and skeleton == (b"," * (width - 1) + b"\n") * skeleton.count(b"\n"):
-        fields = text.replace("\n", ",").split(",")
-        fields.pop()  # after the last line end
-        del fields[:width]
-        return header, widx, fields
-    # A line of another width must be blank.
-    records = text.split("\n")
-    records.pop()
-    del records[0]
-    sizes = list(map(str.count, records, repeat(",")))
-    records = _drop_blank(records, sizes, width - 1, _blank_line, path, weight_column)
-    return header, widx, ",".join(records).split(",") if records else []
+    if not width or skeleton != (b"," * (width - 1) + b"\n") * skeleton.count(b"\n"):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last line end
+    del fields[:width]
+    return header, widx, fields
 
 
 def _reader_fields(
     path: str, text: str, weight_column: Optional[str]
 ) -> Tuple[Tuple[str, ...], Optional[int], List[str]]:
-    """As `_split_fields`, for a file with quotes, which `csv.reader` splits:
-    a quoted field can hold separators and line ends."""
+    """As `_split_fields`, for every other file, which `csv.reader` splits:
+    a quoted field can hold separators and line ends. Records of the
+    header's width are kept; every other record must be blank, or the first
+    bad row's error is raised (past one field a record is not blank)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        records = list(csv.reader(io.StringIO(text, newline="")))
+        header, widx = _parse_header(path, next(reader), weight_column)
+        records = list(reader)
     except csv.Error:  # an overlong field, or a NUL before Python 3.11
         _raise_first_bad_row(path, weight_column)
-    header, widx = _parse_header(path, records[0], weight_column)
-    del records[0]
+    width = len(header)
     sizes = list(map(len, records))
-    records = _drop_blank(records, sizes, len(header), _blank_record, path, weight_column)
-    return header, widx, list(chain.from_iterable(records))
-
-
-def _drop_blank(
-    records: List, sizes: List[int], size: int, blank: Callable[..., bool],
-    path: str, weight_column: Optional[str],
-) -> List:
-    """The records whose size is `size`. Every other record must be blank,
-    or the first bad row's error is raised; past one field a record is not
-    blank, so only records of another size are tested."""
-    if not all(map(blank, compress(records, map(size.__ne__, sizes)))):
+    if not all(map(_blank_record, compress(records, map(width.__ne__, sizes)))):
         _raise_first_bad_row(path, weight_column)
-    return list(compress(records, map(size.__eq__, sizes)))
+    records = compress(records, map(width.__eq__, sizes))
+    return header, widx, list(chain.from_iterable(records))
 
 
 def _raise_first_bad_row(path: str, weight_column: Optional[str]) -> NoReturn:
@@ -463,7 +430,7 @@ def load_vertex_weights(path: str) -> Dict[str, int]:
     with open(path, newline="") as fh:
         try:
             for row_no, raw in enumerate(csv.reader(fh), start=1):
-                if not raw or (len(raw) == 1 and not raw[0].strip()):
+                if _blank_record(raw):
                     continue
                 if len(raw) != 2:
                     raise IngestError(f"{path}:{row_no}: expected constant,weight")

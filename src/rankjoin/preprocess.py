@@ -62,10 +62,14 @@ class Counters:
     inserts: int = 0
     pops: int = 0
     comparisons: int = 0
-    cells: int = 0
+
+    @property
+    def cells(self) -> int:
+        """Entries made: each one is inserted once, when it is made."""
+        return self.inserts
 
     def snapshot(self) -> Tuple[int, int, int, int]:
-        return (self.inserts, self.pops, self.comparisons, self.cells)
+        return (self.inserts, self.pops, self.comparisons, self.inserts)
 
 
 # (score, tie, valuation, node_score, child_entries, pivot)
@@ -253,7 +257,6 @@ class PreparedQuery:
 def new_cell(
     state: NodeState,
     model: ScoreModel,
-    counters: Counters,
     valuation: Row,
     node_score,
     child_entries: Tuple[Entry, ...],
@@ -274,7 +277,6 @@ def new_cell(
         for child in child_entries:
             tie += child[1]
         tie = state.tie_of(tie)
-    counters.cells += 1
     return (score, tie, valuation, node_score, child_entries, pivot)
 
 
@@ -312,7 +314,6 @@ def initialize_queues(
             ties = map(state.tie_of, ties)
         child_entries = zip(*heads) if heads else repeat((), len(rows))
         entries = list(zip(scores, ties, rows, own, child_entries, repeat(0)))
-        counters.cells += len(entries)
         counters.inserts += len(entries)
         if d.nodes[nid].key_vars:
             queues: Dict[Row, List[Entry]] = defaultdict(list)

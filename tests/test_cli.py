@@ -160,6 +160,17 @@ def _one_relation(tmp_path, text):
     return ["--query", str(tmp_path / "query.txt"), "--data", str(data)]
 
 
+def test_weight_col_missing_from_a_table_loads_it_unweighted(workspace, capsys):
+    """Under `--weight-col`, a table without that column weighs 0 per tuple
+    under `tuple_sum`, as if it were loaded without the option."""
+    (workspace / "data" / "R2.csv").write_text("y,z\n1,1\n3,1\n")
+    assert main(["enumerate", *_base_args(workspace)]) == 0
+    engine = capsys.readouterr().out
+    assert engine.splitlines()[0] == "3\t1,1,1,1,1"
+    assert main(["oracle", *_base_args(workspace)]) == 0
+    assert capsys.readouterr().out == engine
+
+
 def test_overlong_weight_is_a_validation_error(tmp_path, capsys):
     args = _one_relation(tmp_path, "x,y,wt\n1,2," + "9" * 5000 + "\n")
     assert main(["enumerate", *args, "--rank", "tuple_sum",

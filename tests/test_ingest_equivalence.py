@@ -9,15 +9,19 @@ the same error with the same message (and so the same row number)."""
 import csv
 import os
 import re
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rankjoin import IngestError, SchemaError, Table, load_csv, load_vertex_weights
-from rankjoin.data import _STRIP_NEEDED_RE, _chunk_strip_needed
+from rankjoin.data import _STRIP_NEEDED
 
 INT_RE = re.compile(r"^[+-]?\d+$")
+# What can make a field differ from its stripped text: whitespace other than
+# line ends, and the quote. `\s` and `str.strip` test the same characters.
+STRIP_NEEDED_RE = re.compile(r'[^\S\r\n]|"')
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -198,8 +202,18 @@ def test_overlong_integer_matches_reference():
 @example("a\x85b")
 @example("\u3000")
 def test_chunk_strip_decision_matches_regex(text):
-    """The ASCII fast path decides as the regex does, on any text."""
-    assert _chunk_strip_needed(text) == bool(_STRIP_NEEDED_RE.search(text))
+    """`load_csv`'s search for each needle decides as the regex does, on any
+    text."""
+    strip = any(map(text.__contains__, _STRIP_NEEDED))
+    assert strip == bool(STRIP_NEEDED_RE.search(text))
+
+
+def test_strip_needles_are_the_whitespace_and_the_quote():
+    """Every `str.isspace` character but the line ends, plus the quote, each
+    once."""
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert len(_STRIP_NEEDED) == len(set(_STRIP_NEEDED))
+    assert set(_STRIP_NEEDED) == spaces - {"\r", "\n"} | {'"'}
 
 
 def _long_file(n, bad_at=(), ragged_at=()):
@@ -282,6 +296,12 @@ def unquoted_files(draw):
 @example(("\n\n1\n", None))
 @example(("\n", None))
 @example(("x,w\na\0b,1\n\0,2\r\n", "w"))
+# Files the `str` split leaves to the reader: a blank line in the middle,
+# trailing blank lines, a whitespace-only line, a short line.
+@example(("x,w\na,1\n\nb,2\n", "w"))
+@example(("x,w\na,1\nb,2\n\n\r\n\n", "w"))
+@example(("x,w\na,1\n \t\u3000\nb,2\n", "w"))
+@example(("x,w\na,1\nb\nc,bad\n", "w"))
 def test_unquoted_load_csv_matches_reference(case):
     text, weight_column = case
     assert '"' not in text

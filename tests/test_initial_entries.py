@@ -68,9 +68,7 @@ def test_initial_entries_match_new_cell(shape, spec, seed):
                 p.states[c].queues[child_key(row)][0]
                 for c, child_key in zip(children, state.child_keys)
             )
-            return new_cell(
-                state, model, Counters(), row, model.node_score(nid, row), heads, 0
-            )
+            return new_cell(state, model, row, model.node_score(nid, row), heads, 0)
 
         want = {}
         for row in reduced[nid].rows:

@@ -108,6 +108,14 @@ class TestVertexWeights:
         with pytest.raises(IngestError):
             load_vertex_weights(path)
 
+    def test_weight_padding_is_stripped_like_a_data_file(self, tmp_path):
+        """`str.strip` removes U+001C-U+001F, which `int` alone rejects; a
+        weight padded with them loads as it does from a data file."""
+        path = _write(tmp_path, "vw.csv", "a,\x1c5\nb, 6\x1f\n")
+        assert load_vertex_weights(path) == {"a": 5, "b": 6}
+        data = _write(tmp_path, "r.csv", "x,w\na,\x1c5\n")
+        assert load_csv(data, "R", weight_column="w").weights == (5,)
+
     def test_overlong_weight_is_an_ingest_error(self, tmp_path):
         """A weight past the interpreter's digit limit for `int`."""
         path = _write(tmp_path, "vw.csv", "a,3\nb," + "9" * 5000 + "\n")

@@ -9,6 +9,8 @@ temporary directory by the checkout that holds this script:
 
 - `fanout_topk`: the seed-1, scale-1 files of `perfbench/workloads.py`
   (imported, not changed);
+- `fanout_blank_line`: the same files with one blank line halfway through
+  R, which `load_csv` splits with `csv.reader` instead of `str` methods;
 - `threepath`, `diameter4`, `antichain`: `rankjoin gen` instances.
 
 A measurement is one fresh interpreter per checkout and input. It times the
@@ -40,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # `rankjoin gen` instances: kind -> n, sized so that set-up takes a tenth of a
 # second or more.
 GEN_SIZES = {"threepath": 50_000, "diameter4": 25_000, "antichain": 50_000}
+BLANK_LINE = "fanout_blank_line"
 FIGURES = ("load_s", "build_s", "materialize_s", "reduce_s", "init_queues_s",
            "setup_peak_mb")
 
@@ -51,8 +54,15 @@ def write_inputs(work: str) -> dict:
     from rankjoin import cli
 
     wl = workloads.WORKLOADS["fanout_topk"]
-    confs = {wl.name: workloads.write_job(
-        wl, workloads.make(wl, 1, 1.0), os.path.join(work, wl.name))}
+    inst = workloads.make(wl, 1, 1.0)
+    confs = {name: workloads.write_job(wl, inst, os.path.join(work, name))
+             for name in (wl.name, BLANK_LINE)}
+    r_path = os.path.join(work, BLANK_LINE, "R.csv")
+    with open(r_path, newline="") as fh:
+        lines = fh.readlines()
+    lines.insert(len(lines) // 2, "\r\n")
+    with open(r_path, "w", newline="") as fh:
+        fh.writelines(lines)
     for kind, n in GEN_SIZES.items():
         out = os.path.join(work, kind)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -147,6 +157,7 @@ def main(argv=None) -> int:
         "runs": args.runs,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "inputs": {"fanout_topk": "perfbench/workloads.py seed 1 scale 1",
+                   BLANK_LINE: "fanout_topk with one blank line halfway through R",
                    **{k: f"rankjoin gen {k} --n {n}" for k, n in GEN_SIZES.items()}},
         "units": {f: "MB" if f.endswith("_mb") else "s" for f in FIGURES},
         "results": {
