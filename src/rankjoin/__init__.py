@@ -44,6 +44,7 @@ from .ranking import (
     RankingFunction,
     ScoreModel,
     check_compatible,
+    check_ranking,
     direct_score,
     parse_ranking,
     probe_decomposable,

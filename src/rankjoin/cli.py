@@ -32,16 +32,13 @@ from .errors import (
     IncompatibleRankingError,
     IngestError,
     OracleCapError,
-    ProbeCapError,
-    QueryParseError,
+    RankJoinError,
     SchemaError,
-    StructureError,
-    WeightError,
 )
 from .oracle import brute_force_ranked
 from .preprocess import prepare
 from .query import UnionQuery, parse_query
-from .ranking import check_compatible, parse_ranking
+from .ranking import check_compatible, check_ranking, parse_ranking
 from .result import format_record
 from .union import UnionCursor
 
@@ -50,17 +47,6 @@ EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_ORACLE_CAP = 4
 EXIT_TRUNCATED = 10
-
-_VALIDATION_ERRORS = (
-    IngestError,
-    SchemaError,
-    QueryParseError,
-    CyclicQueryError,
-    DecompositionError,
-    StructureError,
-    WeightError,
-    ProbeCapError,
-)
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -187,6 +173,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"width: {decomp.width}")
         _print_tree(decomp)
         if rf is not None:
+            check_ranking(rf, cq)
             report = check_compatible(rf, decomp)
             verdict = "compatible" if report.compatible else "INCOMPATIBLE"
             print(f"ranking {rf.spec()}: {verdict} ({report.reason})")
@@ -399,12 +386,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OracleCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE_CAP
-    except _VALIDATION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except EngineInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         raise
+    except RankJoinError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

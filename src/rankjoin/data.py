@@ -495,14 +495,12 @@ class Database:
         vertex_weights: Optional[Dict[str, int]] = None,
     ) -> "Database":
         tables = list(tables)
-        # Every constant once, in order of first appearance, column after
-        # column. Columns come in file order, so the sorts below meet the
-        # runs a file already holds. The ids are written into the same dict
-        # once the order is known.
+        # Every constant of the tables once, in order of first appearance,
+        # column after column. Columns come in file order, so the sorts below
+        # meet the runs a file already holds. The ids are written into the
+        # same dict once the order is known.
         columns = chain.from_iterable(t.column_values for t in tables)
-        encode = dict.fromkeys(
-            chain(chain.from_iterable(columns), vertex_weights or ())
-        )
+        encode = dict.fromkeys(chain.from_iterable(columns))
         # One total order for the whole domain: numeric when everything is an
         # integer literal, bytewise otherwise (a pairwise mixed rule would not
         # be transitive). Equal numbers tie-break on their text, so the order
@@ -535,9 +533,8 @@ class Database:
             ids = [list(map(lookup, column)) for column in t.column_values]
             rows = tuple(zip(*ids)) if ids else t.rows
             relations[t.name] = Relation(t.name, t.columns, rows, t.weights)
-        vw = None
-        if vertex_weights:
-            vw = {encode[c]: w for c, w in vertex_weights.items()}
+        # A constant in no table is read by no output: its weight is dropped.
+        vw = {encode[c]: w for c, w in (vertex_weights or {}).items() if c in encode}
         return cls(relations, decode, vw)
 
     def relation(self, name: str) -> Relation:

@@ -364,6 +364,8 @@ def parse_decomposition(text: str, q: ConjunctiveQuery) -> TreeDecomposition:
                 nid = int(head)
                 brace_open = rest.index("{")
                 brace_close = rest.index("}")
+                if rest[:brace_open].strip():
+                    raise ValueError(rest)
                 bag_text = rest[brace_open + 1 : brace_close]
                 bag = frozenset(v.strip() for v in bag_text.split(",") if v.strip())
                 after = rest[brace_close + 1 :].strip()

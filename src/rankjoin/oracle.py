@@ -2,7 +2,8 @@
 
 Deliberately independent of the engine — its own join fold and the ranking
 definitions applied directly to whole output tuples — so tests comparing the
-two exercise genuinely different code paths. Correctness over speed.
+two exercise genuinely different code paths. Correctness over speed. Only
+the job check, `check_ranking`, is shared, so both refuse the same jobs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, List, Tuple
 from .data import Database
 from .errors import OracleCapError
 from .query import ConjunctiveQuery, UnionQuery
-from .ranking import RankingFunction, direct_score
+from .ranking import RankingFunction, check_ranking, direct_score
 from .result import OutputTuple
 
 DEFAULT_CAP = 10**6
@@ -58,7 +59,9 @@ def brute_force_ranked(
 ) -> List[OutputTuple]:
     """Exact sorted, deduplicated result under (score, output values). An
     output found by several disjuncts scores its best derivation, the lowest
-    of the disjuncts' scores."""
+    of the disjuncts' scores. Every disjunct is checked before any join."""
+    for cq in q.disjuncts:
+        check_ranking(rf, cq, db)
     head = q.head
     scored: Dict[Tuple[int, ...], object] = {}
     for cq in q.disjuncts:

@@ -50,9 +50,9 @@ from .decomposition import (
     augment_for_bounded,
     gyo_join_tree,
 )
-from .errors import DecompositionError, EngineInvariantError, IncompatibleRankingError
+from .errors import DecompositionError, EngineInvariantError
 from .query import ConjunctiveQuery
-from .ranking import RankingFunction, Row, ScoreModel, check_compatible
+from .ranking import RankingFunction, Row, ScoreModel
 
 
 @dataclass
@@ -363,9 +363,6 @@ def prepare(
         raise DecompositionError(
             f"join tree depth {depth} exceeds the cursor's limit of {limit}"
         )
-    report = check_compatible(rf, d)
-    if not report.compatible:
-        raise IncompatibleRankingError(report.reason)
     model = ScoreModel(rf, db, query, d)
     counters = Counters()
     t0 = time.perf_counter()

@@ -84,7 +84,8 @@ def _parse_atoms(text: str, head_set: Set[str]) -> Tuple[Atom, ...]:
         if not m:
             raise QueryParseError(f"cannot parse atom near {rest.strip()[:40]!r}")
         rel = m.group(1)
-        vars_ = tuple(v.strip() for v in m.group(2).split(",") if v.strip())
+        inner = m.group(2).strip()
+        vars_ = tuple(v.strip() for v in inner.split(",")) if inner else ()
         if not vars_:
             raise QueryParseError(f"atom {rel} has no variables")
         for v in vars_:
@@ -129,7 +130,10 @@ def parse_query(text: str) -> UnionQuery:
     if not m or head_text.strip()[m.end():].strip():
         raise QueryParseError(f"cannot parse head {head_text.strip()!r}")
     name = m.group(1)
-    head = tuple(v.strip() for v in m.group(2).split(",") if v.strip())
+    inner = m.group(2).strip()
+    head = tuple(v.strip() for v in inner.split(",")) if inner else ()
+    if "" in head:
+        raise QueryParseError(f"cannot parse head {head_text.strip()!r}")
     if len(set(head)) != len(head):
         raise QueryParseError("repeated variable in head")
     head_set = set(head)

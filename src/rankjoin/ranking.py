@@ -35,7 +35,7 @@ from typing import (
 
 from .data import INT64_MAX, INT64_MIN, Database, Relation, row_getter
 from .decomposition import TreeDecomposition
-from .errors import ProbeCapError, SchemaError, WeightError
+from .errors import IncompatibleRankingError, ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
 
 MAX_IDENTITY = float("-inf")
@@ -162,6 +162,68 @@ def check_compatible(rf: RankingFunction, d: TreeDecomposition) -> Compatibility
     return CompatibilityReport(True, "determining variables contained in every bag")
 
 
+def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
+                  db: Optional[Database] = None) -> None:
+    """Refuse a job that `rf` cannot rank over `q`: the one home of the job
+    preconditions that `prepare`, `plan` and the oracle share. A lex order
+    lists exactly the head, and a bounded ranking's variables are head
+    variables. With `db`: each atom's relation has one column per atom
+    variable, and under product every weight is strictly positive."""
+    if rf.kind == "lex":
+        extra = set(rf.lex_order) - set(q.head)
+        if extra:
+            raise SchemaError(f"lex order names unknown variables {sorted(extra)}")
+        missing = set(q.head) - set(rf.lex_order)
+        if missing:
+            raise SchemaError(
+                f"lex order must list every head variable; missing {sorted(missing)}"
+            )
+    if rf.kind == "bounded":
+        extra = rf.bound_vars - set(q.head)
+        if extra:
+            raise SchemaError(
+                f"bounded ranking names unknown variables {sorted(extra)}"
+            )
+    if db is None:
+        return
+    relations: Dict[str, Relation] = {}
+    for atom in q.atoms:
+        rel = relations[atom.relation] = db.relation(atom.relation)
+        if len(rel.schema) != len(atom.variables):
+            raise SchemaError(
+                f"relation {rel.name} needs one column per variable of atom "
+                f"{atom}; it has {list(rel.schema)}"
+            )
+    if rf.op != "product":
+        return
+    if (rf.inner_kind or rf.kind) == "tuple":
+        for rel in relations.values():
+            if rel.weights is None:
+                raise WeightError(
+                    f"product ranking needs weights on relation {rel.name}"
+                )
+            bad = next(
+                compress(itertools.count(), map((0).__ge__, rel.weights)), None
+            )
+            if bad is not None:
+                raise WeightError(
+                    f"product ranking needs strictly positive weights; "
+                    f"relation {rel.name} row {rel.rows[bad]} has weight "
+                    f"{rel.weights[bad]}"
+                )
+    else:
+        used = set().union(
+            *(chain.from_iterable(rel.rows) for rel in relations.values())
+        )
+        first = min((c for c in used if db.vertex_weight(c) <= 0), default=None)
+        if first is not None:
+            raise WeightError(
+                f"product ranking needs strictly positive vertex weights; "
+                f"constant {db.decode(first)!r} has weight "
+                f"{db.vertex_weight(first)}"
+            )
+
+
 def direct_score(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
                  valuation: Dict[str, int]):
     """Score a full valuation straight from the definition (no decomposition)."""
@@ -180,9 +242,7 @@ def direct_score(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
             acc = monoid.combine(acc, db.vertex_weight(valuation[v]))
         return acc
     if rf.kind == "lex":
-        return tuple(
-            (i, valuation[v]) for i, v in enumerate(rf.lex_order) if v in valuation
-        )
+        return tuple((i, valuation[v]) for i, v in enumerate(rf.lex_order))
     if rf.kind == "bounded":
         return _bounded_value(rf, db, q, valuation)
     raise SchemaError(f"unknown ranking kind {rf.kind!r}")
@@ -207,7 +267,8 @@ def _bounded_value(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
 class ScoreModel:
     """Binds a ranking function to one query/decomposition/database.
 
-    At construction it compiles one scorer per node: a closure over that
+    At construction it checks the job (`check_ranking`, then
+    `check_compatible`) and compiles one scorer per node: a closure over that
     node's weight lookups and bag positions, mapped over a sequence of bag
     rows. `node_scores` and `node_score` are the entry points that run them."""
 
@@ -224,7 +285,10 @@ class ScoreModel:
         self.decomposition = d
         self.identity = rf.monoid.identity
         self.combine = rf.monoid.combine
-        self._validate()
+        check_ranking(rf, q, db)
+        report = check_compatible(rf, d)
+        if not report.compatible:
+            raise IncompatibleRankingError(report.reason)
         assigned: Dict[int, List[int]] = defaultdict(list)
         for ai, owner in d.atom_assignment.items():
             assigned[owner].append(ai)
@@ -233,59 +297,6 @@ class ScoreModel:
             nid: self._compile(nid, node, assigned[nid], passed.get(nid))
             for nid, node in d.nodes.items()
         }
-
-    def _validate(self) -> None:
-        rf, q = self.rf, self.query
-        if rf.kind == "lex":
-            extra = set(rf.lex_order) - set(q.head)
-            if extra:
-                raise SchemaError(f"lex order names unknown variables {sorted(extra)}")
-            missing = set(q.head) - set(rf.lex_order)
-            if missing:
-                raise SchemaError(
-                    f"lex order must list every head variable; missing {sorted(missing)}"
-                )
-        if rf.kind == "bounded":
-            extra = rf.bound_vars - set(q.head)
-            if extra:
-                raise SchemaError(
-                    f"bounded ranking names unknown variables {sorted(extra)}"
-                )
-        if (rf.kind in ("tuple", "vertex") or rf.kind == "bounded") and rf.op == "product":
-            self._check_positive_weights()
-
-    def _check_positive_weights(self) -> None:
-        rf, db = self.rf, self.db
-        kind = rf.kind if rf.kind != "bounded" else rf.inner_kind
-        names = dict.fromkeys(atom.relation for atom in self.query.atoms)
-        if kind == "tuple":
-            for name in names:
-                rel = db.relation(name)
-                if rel.weights is None:
-                    raise WeightError(
-                        f"product ranking needs weights on relation {rel.name}"
-                    )
-                bad = next(
-                    compress(itertools.count(), map((0).__ge__, rel.weights)), None
-                )
-                if bad is not None:
-                    raise WeightError(
-                        f"product ranking needs strictly positive weights; "
-                        f"relation {rel.name} row {rel.rows[bad]} has weight "
-                        f"{rel.weights[bad]}"
-                    )
-        else:
-            used = set().union(
-                *(chain.from_iterable(db.relation(n).rows) for n in names)
-            )
-            bad = [c for c in used if db.vertex_weight(c) <= 0]
-            if bad:
-                first = min(bad)
-                raise WeightError(
-                    f"product ranking needs strictly positive vertex weights; "
-                    f"constant {db.decode(first)!r} has weight "
-                    f"{db.vertex_weight(first)}"
-                )
 
     def _compile(
         self, nid: int, node, assigned: List[int], passed: Optional[int]
@@ -317,12 +328,6 @@ class ScoreModel:
         # bounded: full value at the root, identity elsewhere
         if nid != d.root:
             return self._fold([])
-        missing = sorted(rf.bound_vars - set(order))
-        if missing:
-            raise SchemaError(
-                f"bounded ranking variables {missing} not in the root bag; "
-                f"augment the decomposition first"
-            )
         # The same terms, in the same order, as `_bounded_value`.
         if rf.inner_kind == "tuple":
             return self._fold([

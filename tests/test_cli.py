@@ -381,3 +381,37 @@ def test_plan_witness_does_not_follow_the_hash_seed(tmp_path):
             if line.startswith("edge condition:")
         }
     assert witnesses == {"edge condition: violated (b0..b1 at distance 4)"}
+
+
+@pytest.mark.parametrize(
+    "command, drop, err",
+    [
+        ("enumerate", "--query", "no query file given (--query or query= in config)"),
+        ("enumerate", "--data", "no data directory given (--data or data= in config)"),
+        ("enumerate", "--rank", "no ranking given (--rank or rank= in config)"),
+        ("topk", None, "topk needs -k (or k= in config)"),
+    ],
+)
+def test_missing_job_part_exit_code(workspace, capsys, command, drop, err):
+    args = _base_args(workspace)
+    if drop is not None:
+        del args[args.index(drop):args.index(drop) + 2]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "command, decomp, err",
+    [
+        ("enumerate", True, "--decomp applies to single-disjunct queries only"),
+        ("bench", False, "bench supports single-disjunct queries only"),
+    ],
+)
+def test_single_disjunct_commands_refuse_a_union(
+    workspace, capsys, command, decomp, err
+):
+    (workspace / "query.txt").write_text("Q(x,y) :- R1(x,y) | R1(y,x)\n")
+    (workspace / "d.txt").write_text("node 1: {x,y} cover R1\nroot 1\n")
+    extra = ["--decomp", str(workspace / "d.txt")] if decomp else []
+    assert main([command, *_base_args(workspace), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"

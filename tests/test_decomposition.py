@@ -358,6 +358,26 @@ class TestFileErrors:
         with pytest.raises(DecompositionError, match=err):
             parse_decomposition(text, _cq("Q(x,y) :- R(x,y)"))
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("node 0: {x,y} cover Z\nroot 0", "line 1: cover names unknown atom 'Z'"),
+            ("node 0: {x,y} cover R\nleaf 0\nroot 0",
+             "line 2: unknown directive 'leaf'"),
+            ("node 0: {x,y} cover R\nroot 5", "root 5 has no node line"),
+            ("node 0: {x,y} cover R\nnode 1: {x,y} cover R\nroot 0\nedge 7 1",
+             "node 1: unknown parent 7"),
+            ("node 0: {x,y} cover R\nnode 1: {x,y} cover R\nroot 0\nedge 1 0",
+             "root has a parent"),
+            ("node 0: junk {x,y} cover R\nroot 0",
+             "line 1: cannot parse node line 'node 0: junk {x,y} cover R'"),
+        ],
+    )
+    def test_error_messages(self, text, err):
+        with pytest.raises(DecompositionError) as info:
+            parse_decomposition(text + "\n", _cq("Q(x,y) :- R(x,y)"))
+        assert str(info.value) == err
+
     def test_second_parent(self):
         text = (
             "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nnode 2: {x,y} cover T\n"

@@ -87,3 +87,41 @@ class TestComponents:
         comps = connected_components(cq)
         varsets = [set(c.head) for c in comps]
         assert varsets[0] & varsets[1] == set()
+
+
+NOT_A_VARIABLE = "atom R: '' is not a variable (constants are not allowed)"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("Q(x,y) :- R(x,,y)", NOT_A_VARIABLE),
+        ("Q(x,y) :- R(x,y,)", NOT_A_VARIABLE),
+        ("Q(x,,y) :- R(x,y)", "cannot parse head 'Q(x,,y)'"),
+    ],
+)
+def test_empty_name_rejected(text, err):
+    """An empty name between commas is an error, not a name to drop."""
+    with pytest.raises(QueryParseError) as info:
+        parse_query(text)
+    assert str(info.value) == err
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("Q(x) :- 1R(x)", "cannot parse atom near '1R(x)'"),
+        ("Q(x) :- R()", "atom R has no variables"),
+        ("Q(x) :- R( )", "atom R has no variables"),
+        ("Q(x,y) :- R(x,y) S(y)", "unexpected text after atom: 'S(y)'"),
+        ("Q(x) :- ", "empty query body"),
+        ("Q(x) :- R(x) | ", "empty query body"),
+        ("Q(x) R(x)", "expected 'Head(vars) :- body'"),
+        ("Q(x,x) :- R(x)", "repeated variable in head"),
+        ("Q(x :- R(x)", "cannot parse head 'Q(x'"),
+    ],
+)
+def test_parse_error_messages(text, err):
+    with pytest.raises(QueryParseError) as info:
+        parse_query(text)
+    assert str(info.value) == err

@@ -48,6 +48,22 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_ranking("tuple_median")
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("lex( , )", "lex ranking needs at least one variable"),
+            ("lex(x,x)", "lex order ('x', 'x') repeats a variable"),
+            ("bounded(tuplesum; x)", "bad inner ranking 'tuplesum'"),
+            ("bounded(lex_sum; x)", "bad inner ranking 'lex_sum'"),
+            ("bounded(tuple_sum; )", "bounded ranking needs at least one variable"),
+            ("tuple_median", "unknown ranking spec 'tuple_median'"),
+        ],
+    )
+    def test_error_messages(self, text, err):
+        with pytest.raises(SchemaError) as info:
+            parse_ranking(text)
+        assert str(info.value) == err
+
     def test_spec_roundtrip(self):
         for text in ("tuple_sum", "vertex_max", "lex(a,b)", "bounded(vertex_sum; a)"):
             assert parse_ranking(parse_ranking(text).spec()) == parse_ranking(text)

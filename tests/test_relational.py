@@ -103,6 +103,17 @@ class TestVertexWeights:
         path = _write(tmp_path, "vw.csv", "")
         assert load_vertex_weights(path) == {}
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = _write(tmp_path, "vw.csv", "a,3\n\n  \nb,5\n")
+        assert load_vertex_weights(path) == {"a": 3, "b": 5}
+
+    @pytest.mark.parametrize("line", ["a", "a,1,2"])
+    def test_row_of_another_width(self, tmp_path, line):
+        path = _write(tmp_path, "vw.csv", f"b,1\n{line}\n")
+        with pytest.raises(IngestError) as info:
+            load_vertex_weights(path)
+        assert str(info.value) == f"{path}:2: expected constant,weight"
+
     def test_conflict(self, tmp_path):
         path = _write(tmp_path, "vw.csv", "a,3\na,4\n")
         with pytest.raises(IngestError):
@@ -128,6 +139,15 @@ class TestDatabase:
         t = Table.from_rows("R", ("x",), [("10",), ("2",), ("1",)])
         db = Database.build([t])
         assert encode(db, "1") < encode(db, "2") < encode(db, "10")
+
+    def test_vertex_weights_outside_the_data_leave_the_order(self):
+        """A vertex weight for a constant in no table neither joins the
+        domain nor switches its order from numeric to bytewise."""
+        t = Table.from_rows("R", ("x", "y"), [("9", "1"), ("10", "1")])
+        plain = Database.build([t], {"1": 1})
+        extra = Database.build([t], {"1": 1, "zzz": 5})
+        assert extra.constants == plain.constants == ("1", "9", "10")
+        assert extra.vertex_weights == plain.vertex_weights == {0: 1}
 
     def test_equal_integer_literals_order_by_text(self):
         """Equal integers written differently ("7", "07", "+7") are distinct

@@ -41,7 +41,8 @@ QUERIES = {
 def _rankings(head):
     lex = "lex(" + ",".join(reversed(head)) + ")"
     return ["tuple_sum", "tuple_product", "vertex_max", lex,
-            "bounded(tuple_sum; x,y)"]
+            "bounded(tuple_sum; x,y)", "bounded(vertex_sum; x,y)",
+            "bounded(vertex_max; x)"]
 
 
 CASES = [
