@@ -38,7 +38,7 @@ from .errors import (
 )
 from .oracle import brute_force_ranked
 from .preprocess import PreparedQuery, full_reducer, initialize_queues, materialize_bags, prepare
-from .query import Atom, ConjunctiveQuery, UnionQuery, connected_components, parse_query
+from .query import Atom, ConjunctiveQuery, UnionQuery, parse_query
 from .ranking import (
     CompatibilityReport,
     RankingFunction,
@@ -49,7 +49,7 @@ from .ranking import (
     parse_ranking,
     probe_decomposable,
 )
-from .result import OutputTuple, format_record, format_score
+from .result import OutputTuple, format_record
 from .union import UnionCursor
 
 __version__ = "0.1.0"

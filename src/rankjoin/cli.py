@@ -106,8 +106,6 @@ class Job:
         tables: List[Table] = []
         for name in names:
             path = os.path.join(self.data_dir, f"{name}.csv")
-            if not os.path.exists(path):
-                raise IngestError(f"missing data file {path}")
             try:
                 table = load_csv(path, name, weight_column=self.weight_col)
             except SchemaError:
@@ -158,6 +156,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             print(f"disjunct {i + 1}: {cq}")
         else:
             print(f"query: {cq}")
+        if rf is not None:
+            check_ranking(rf, cq)
         try:
             decomp = job.decomposition(uq) or augment_for_bounded(
                 gyo_join_tree(cq), bound
@@ -173,7 +173,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"width: {decomp.width}")
         _print_tree(decomp)
         if rf is not None:
-            check_ranking(rf, cq)
             report = check_compatible(rf, decomp)
             verdict = "compatible" if report.compatible else "INCOMPATIBLE"
             print(f"ranking {rf.spec()}: {verdict} ({report.reason})")
@@ -391,6 +390,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise
     except RankJoinError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    # The errors of opening an input file; not every `OSError`, since a
+    # closed stdout (`BrokenPipeError`) is one too.
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            PermissionError) as e:
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -27,6 +27,7 @@ records per-pull counter deltas in `pull_stats`.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
@@ -100,21 +101,10 @@ class Cursor:
     """The drain helpers of every cursor; subclasses define `next()`."""
 
     def drain_topk(self, k: int) -> List[OutputTuple]:
-        out = []
-        while len(out) < k:
-            item = self.next()
-            if item is None:
-                break
-            out.append(item)
-        return out
+        return list(islice(iter(self.next, None), k))
 
     def drain(self) -> List[OutputTuple]:
-        out = []
-        while True:
-            item = self.next()
-            if item is None:
-                return out
-            out.append(item)
+        return list(iter(self.next, None))
 
 
 class RankedCursor(Cursor):

@@ -52,7 +52,7 @@ from .decomposition import (
 )
 from .errors import DecompositionError, EngineInvariantError
 from .query import ConjunctiveQuery
-from .ranking import RankingFunction, Row, ScoreModel
+from .ranking import RankingFunction, Row, ScoreModel, check_ranking
 
 
 @dataclass
@@ -355,6 +355,9 @@ def prepare(
     """End-to-end preprocessing; builds a join tree when none is supplied."""
     d = decomposition
     if d is None:
+        # The job check (repeated by `ScoreModel`) comes first, so that an
+        # unknown bounded variable is refused as the oracle refuses it.
+        check_ranking(rf, query)
         d = augment_for_bounded(gyo_join_tree(query), rf.bound_vars)
     # The cursor's walk recurses once per tree level; half the interpreter's
     # recursion limit is left to its callers.

@@ -164,14 +164,3 @@ def atom_components(cq: ConjunctiveQuery) -> List[List[int]]:
     for i in range(len(cq.atoms)):
         groups.setdefault(find(i), []).append(i)
     return [groups[r] for r in sorted(groups)]
-
-
-def connected_components(cq: ConjunctiveQuery) -> List[ConjunctiveQuery]:
-    """Partition the atoms into maximal variable-connected components."""
-    components = []
-    for group in atom_components(cq):
-        atoms = tuple(cq.atoms[i] for i in group)
-        comp_vars = {v for a in atoms for v in a.variables}
-        head = tuple(v for v in cq.head if v in comp_vars)
-        components.append(ConjunctiveQuery(cq.name, head, atoms))
-    return components

@@ -22,12 +22,11 @@ class OutputTuple(NamedTuple):
         return tuple(map(db.constants.__getitem__, self.values))
 
 
-def format_score(rf: RankingFunction, db: Database, score) -> str:
-    if rf.kind == "lex":
-        return ",".join(db.decode(cid) for _, cid in score)
-    return str(score)
-
-
 def format_record(rf: RankingFunction, db: Database, out: OutputTuple) -> str:
-    values = ",".join(map(db.constants.__getitem__, out[0]))
-    return f"{format_score(rf, db, out[1])}\t{values}"
+    """One output line: the score (a lex score as its values), a tab, and the
+    head values."""
+    decode = db.constants.__getitem__
+    score = out[1]
+    if rf.kind == "lex":
+        score = ",".join([decode(cid) for _, cid in score])
+    return f"{score}\t{','.join(map(decode, out[0]))}"

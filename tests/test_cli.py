@@ -152,6 +152,42 @@ def test_missing_data_file(workspace, capsys):
     assert main(["topk", *_base_args(workspace), "-k", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "part", ["config", "query", "data", "vertex_weights", "decomp"]
+)
+def test_missing_input_file_exit_code(workspace, capsys, part):
+    """Whichever file of the job is missing, the CLI exits 2 naming it."""
+    args = _base_args(workspace)
+    missing = workspace / "missing.txt"
+    if part == "data":
+        missing = workspace / "data" / "R3.csv"
+        os.remove(missing)
+    elif part == "query":
+        args[args.index("--query") + 1] = str(missing)
+    else:
+        args += [f"--{part.replace('_', '-')}", str(missing)]
+    assert main(["enumerate", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "flag, path, opened, reason",
+    [
+        ("--query", "data", "data", "Is a directory"),
+        ("--data", "query.txt", "query.txt/R1.csv", "Not a directory"),
+    ],
+)
+def test_input_path_of_the_wrong_kind_exit_code(
+    workspace, capsys, flag, path, opened, reason
+):
+    args = _base_args(workspace)
+    args[args.index(flag) + 1] = str(workspace / path)
+    assert main(["enumerate", *args]) == 2
+    assert capsys.readouterr().err == f"error: {workspace / opened}: {reason}\n"
+
+
 def _one_relation(tmp_path, text):
     data = tmp_path / "data"
     data.mkdir()

@@ -130,6 +130,15 @@ def test_unknown_bounded_variable_under_decomp_is_a_validation_error(running):
     assert err == "error: bounded ranking names unknown variables ['q']\n"
 
 
+@pytest.mark.parametrize("command", ["enumerate", "plan", "oracle"])
+def test_unknown_bounded_variable_gets_one_text(running, command):
+    """Without `--decomp` too, the job check runs before the join tree is
+    built, so every command names the unknown variable the same way."""
+    code, err = running(command, "bounded(tuple_sum; q)")
+    assert code == 2
+    assert err == "error: bounded ranking names unknown variables ['q']\n"
+
+
 SPECS = [
     "tuple_sum", "tuple_product", "vertex_product", "vertex_max",
     "lex(u,w,z,y,x)", "lex(x,y,z,w,u,v)", "lex(x)",
@@ -160,15 +169,16 @@ DATABASES = {
 @pytest.mark.parametrize("db_name", sorted(DATABASES))
 @pytest.mark.parametrize("spec", SPECS)
 def test_engine_oracle_and_plan_agree(spec, db_name):
-    """On every pair, `prepare` and the oracle both accept or both refuse
-    with one message, and what `plan` refuses without data they refuse
-    too."""
+    """On every pair, `prepare` (with a join tree and without) and the oracle
+    both accept or both refuse with one message, and what `plan` refuses
+    without data they refuse too."""
     db = DATABASES[db_name]()
     uq = parse_query(RUNNING_QUERY)
     cq = uq.disjuncts[0]
     rf = parse_ranking(spec)
     d = augment_for_bounded(gyo_join_tree(cq), rf.bound_vars & cq.variables)
     engine = _outcome(lambda: prepare(db, cq, rf, d))
+    assert engine == _outcome(lambda: prepare(db, cq, rf))
     assert engine == _outcome(lambda: brute_force_ranked(db, uq, rf))
     assert engine == _outcome(lambda: check_ranking(rf, cq, db))
     plan = _outcome(lambda: check_ranking(rf, cq))

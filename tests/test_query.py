@@ -1,6 +1,7 @@
 import pytest
 
-from rankjoin import QueryParseError, connected_components, parse_query
+from rankjoin import QueryParseError, parse_query
+from rankjoin.query import atom_components
 
 
 def test_single_disjunct_four_atoms():
@@ -67,25 +68,23 @@ def test_roundtrip():
 class TestComponents:
     def test_connected(self):
         cq = parse_query("Q(x,y,z) :- R(x,y), S(y,z)").disjuncts[0]
-        assert len(connected_components(cq)) == 1
+        assert atom_components(cq) == [[0, 1]]
 
     def test_cartesian(self):
         cq = parse_query("Q(x1,y1,x2,y2) :- R(x1,y1), S(x2,y2)").disjuncts[0]
-        comps = connected_components(cq)
-        assert len(comps) == 2
-        assert comps[0].head == ("x1", "y1")
-        assert comps[1].head == ("x2", "y2")
+        assert atom_components(cq) == [[0], [1]]
 
     def test_single_atom(self):
         cq = parse_query("Q(x) :- R(x)").disjuncts[0]
-        assert len(connected_components(cq)) == 1
+        assert atom_components(cq) == [[0]]
 
     def test_components_share_no_variable(self):
         cq = parse_query(
-            "Q(a,b,c,d,e) :- R(a,b), S(b,c), T(d,e)"
+            "Q(a,b,c,d,e) :- R(a,b), T(d,e), S(b,c)"
         ).disjuncts[0]
-        comps = connected_components(cq)
-        varsets = [set(c.head) for c in comps]
+        comps = atom_components(cq)
+        assert comps == [[0, 2], [1]]
+        varsets = [{v for i in c for v in cq.atoms[i].variables} for c in comps]
         assert varsets[0] & varsets[1] == set()
 
 

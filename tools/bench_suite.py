@@ -13,20 +13,21 @@ temporary directory by the checkout that holds this script:
   R, which `load_csv` splits with `csv.reader` instead of `str` methods;
 - `threepath`, `diameter4`, `antichain`: `rankjoin gen` instances.
 
-A measurement is one fresh interpreter per checkout and input. It times the
-phases the way `rankjoin bench` does (`load`: the CLI's CSV ingest, `build`:
-`Database.build`, then `prepare`'s `materialize`, `reduce` and `init_queues`
-seconds), then, untimed, repeats the set-up under tracemalloc for its peak
-traced memory. Runs alternate which checkout goes first. The output file
-holds, per checkout, input and figure, the median and quartiles over the
-runs, and each run's value. Standard library only.
+A measurement is one fresh interpreter per checkout and input. It runs the
+checkout's `rankjoin bench -k 0` in process and reads the set-up seconds it
+prints (`load`: the CLI's CSV ingest, `build`: dictionary encoding, then
+`prepare`'s `materialize`, `reduce` and `init_queues`); a non-zero exit fails
+the run. It then repeats the same call under tracemalloc for its peak traced
+memory, which also covers argument and query parsing. Runs alternate which
+checkout goes first. The output file holds, per checkout, input and figure,
+the median and quartiles over the runs, and each run's value. Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import io
 import json
 import os
@@ -35,7 +36,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,8 +43,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # second or more.
 GEN_SIZES = {"threepath": 50_000, "diameter4": 25_000, "antichain": 50_000}
 BLANK_LINE = "fanout_blank_line"
-FIGURES = ("load_s", "build_s", "materialize_s", "reduce_s", "init_queues_s",
-           "setup_peak_mb")
+# Each timing figure and the `rankjoin bench` line it is read from.
+PHASES = {"load_s": "load_seconds", "build_s": "encode_seconds",
+          "materialize_s": "materialize_seconds", "reduce_s": "reduce_seconds",
+          "init_queues_s": "init_queues_seconds"}
+FIGURES = (*PHASES, "setup_peak_mb")
 
 
 def write_inputs(work: str) -> dict:
@@ -72,40 +75,27 @@ def write_inputs(work: str) -> dict:
 
 
 def measure(conf: str) -> dict:
-    """One run's figures for `conf`, with the engine already importable."""
-    from rankjoin import Database, cli, prepare
+    """One run's figures for `conf`, with the engine already importable: the
+    phase seconds that `rankjoin bench -k 0` prints, then the peak traced
+    memory of the same call repeated under tracemalloc."""
+    from rankjoin import cli
 
-    job = cli.Job(cli.build_parser().parse_args(["bench", "--config", conf]))
-    uq = job.query()
-    rf, decomp = job.ranking(), job.decomposition(uq)
+    def bench() -> dict:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["bench", "--config", conf, "-k", "0"])
+        if code != 0:
+            raise RuntimeError(f"rankjoin bench exited {code} on {conf}")
+        return dict(line.split("=", 1) for line in out.getvalue().splitlines())
 
-    def setup():
-        tables, vw = job.load(uq)
-        t1 = time.perf_counter()
-        db = Database.build(tables, vw)
-        t2 = time.perf_counter()
-        return t1, t2, prepare(db, uq.disjuncts[0], rf, decomp)
-
-    gc.collect()
-    t0 = time.perf_counter()
-    t1, t2, prepared = setup()
-    stats = prepared.setup_stats
-    figures = {
-        "load_s": t1 - t0,
-        "build_s": t2 - t1,
-        "materialize_s": stats["materialize_seconds"],
-        "reduce_s": stats["reduce_seconds"],
-        "init_queues_s": stats["init_queues_seconds"],
-    }
-    del prepared
-    gc.collect()
+    printed = bench()
+    figures = {f: float(printed[key]) for f, key in PHASES.items()}
     tracemalloc.start()
     try:
-        kept = setup()
+        bench()
         figures["setup_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    del kept
     return figures
 
 
