@@ -17,7 +17,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import GENERATORS, analyze
-from .cursor import RankedCursor, buffers_ties
+from .cursor import RankedCursor, buffers_ties, tie_lead
 from .data import Database, Table, load_csv, load_vertex_weights
 from .decomposition import (
     TreeDecomposition,
@@ -176,6 +176,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
             report = check_compatible(rf, decomp)
             verdict = "compatible" if report.compatible else "INCOMPATIBLE"
             print(f"ranking {rf.spec()}: {verdict} ({report.reason})")
+        if rf is not None and buffers_ties(rf):
+            if tie_lead(decomp):
+                group = (f"each group of outputs that share a score and a value "
+                         f"of {cq.head[0]}")
+            else:
+                group = "each whole run of outputs that share a score"
+            print(
+                f"warning: under {rf.spec()}, {group} is buffered and sorted "
+                "before the first of them is emitted, so the delay is "
+                "unbounded when many outputs tie"
+            )
         fr = analyze(cq)
         print(f"diameters: {','.join(str(d) for d in fr.diameters)}")
         if fr.coordinate_ok is None:
@@ -200,12 +211,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 "warning: edge-ranked families hit the preprocessing lower "
                 "bound on this query; the engine still runs"
             )
-    if rf is not None and buffers_ties(rf):
-        print(
-            f"warning: under {rf.spec()}, outputs that share a score are buffered "
-            "and sorted before the first of them is emitted, so the delay is "
-            "unbounded when many outputs tie"
-        )
     return EXIT_OK
 
 
@@ -297,6 +302,8 @@ def _gc_collections() -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise IngestError(f"--n must be a non-negative integer, got {args.n}")
     inst = GENERATORS[args.kind](args.n)
     os.makedirs(args.out, exist_ok=True)
     for table in inst.tables:
@@ -391,10 +398,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RankJoinError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    # The errors of opening an input file; not every `OSError`, since a
-    # closed stdout (`BrokenPipeError`) is one too.
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError,
-            PermissionError) as e:
+    # The errors of opening an input file or making `gen`'s output directory;
+    # not every `OSError`, since a closed stdout (`BrokenPipeError`) is one too.
+    except (FileNotFoundError, FileExistsError, NotADirectoryError,
+            IsADirectoryError, PermissionError) as e:
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -22,6 +22,13 @@ the subtree valuation, unique within a node, so `heapq` orders entries in C by
 (score, tie) and never compares further. A cursor built with stats=True uses
 `counted_heap` instead, which makes the same comparisons and counts them, and
 records per-pull counter deltas in `pull_stats`.
+
+Under `tuple_max`/`vertex_max` the cursor buffers equal-score outputs and sorts
+them by value before emitting them (`buffers_ties`). A group is the outputs
+that share their score and their first `tie_lead` head values, not the whole
+score run. One fill pulls whole groups until it holds `TIE_BATCH` outputs or
+more (fewer before the cursor has emitted that many), and sorts them by score
+and values.
 """
 
 from __future__ import annotations
@@ -31,12 +38,21 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
+from .decomposition import TreeDecomposition
 from .errors import EngineInvariantError
 from .preprocess import Counters, Entry, PreparedQuery, new_cell
 from .ranking import RankingFunction
 from .result import OutputTuple
 
 UNSET = object()  # a tie missing from `NodeState.succ`, unlike a None successor
+# The fewest outputs one tie-buffer fill pulls, in whole groups, once the
+# cursor has emitted that many; until then a fill needs only as many as were
+# emitted, so the first fill is one group. Filling one group at a time made a
+# pull in about one union_ties result in six (its groups hold 4 outputs at
+# the median), which raised the median delay; at 32 the median delay matches
+# the whole-run buffer's, and a fill holds at most 31 outputs more than its
+# largest group.
+TIE_BATCH = 32
 
 
 def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
@@ -85,16 +101,30 @@ def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
 
 
 def buffers_ties(rf: RankingFunction) -> bool:
-    """Whether a cursor under `rf` buffers each run of equal-score outputs and
-    sorts it before emitting the first, so its delay grows with the run.
+    """Whether a cursor under `rf` buffers equal-score outputs and sorts each
+    group of them (see `tie_lead`) before emitting the first, so its delay
+    grows with the largest group.
 
     Under max, a strict score gap between two subtree valuations can collapse
     to a tie higher up, so no per-queue tie order alone can deliver
     equal-score outputs sorted by value. Scores still arrive nondecreasing, so
-    sorting each equal-score run restores the total order. Sum/product keep
+    sorting each equal-score group restores the total order. Sum/product keep
     strict gaps strict and lex/bounded carry their ties consistently, so they
     skip the buffer."""
     return rf.op == "max" and rf.kind in ("tuple", "vertex")
+
+
+def tie_lead(d: TreeDecomposition) -> int:
+    """How many leading head values the outputs of one buffered group share
+    besides their score: 1 when the root bag holds the first head variable,
+    else 0, and the group is the whole equal-score run.
+
+    A root entry's siblings keep its bag valuation, and a root entry's tie is
+    its output in head order. So an output pulled later in a score run can
+    sort before one pulled earlier only if both share their root-bag values,
+    and with them their first head value."""
+    head = d.query.head
+    return 1 if head and head[0] in d.nodes[d.root].bag else 0
 
 
 class Cursor:
@@ -120,29 +150,39 @@ class RankedCursor(Cursor):
             self._push, self._pop = counted_heap(prepared.counters)
         else:
             self._push, self._pop = heapq.heappush, heapq.heappop
-        self._run_sorted = buffers_ties(prepared.model.rf)
-        self._run: List[OutputTuple] = []
+        self._buffered = buffers_ties(prepared.model.rf)
+        self._lead = tie_lead(prepared.decomposition)
+        # The buffered groups, sorted by score and values, emitted from the tail.
+        self._buffer: List[OutputTuple] = []
 
     def next(self) -> Optional[OutputTuple]:
-        if not self._run_sorted:
+        if not self._buffered:
             out = self._engine_next()
             if out is not None:
                 self.emitted_count += 1
             return out
-        if not self._run:
+        if not self._buffer:
             first = self._engine_next()
             if first is None:
                 return None
-            run = [first]
-            score = first[1]
+            buffer = [first]
+            lead = self._lead
+            score, prefix = first[1], first[0][:lead]
+            least = min(TIE_BATCH, self.emitted_count)
             heap = self.prepared.root_state.queues.get(())
-            while heap and heap[0][0] == score:
-                run.append(self._engine_next())
-            run.sort(key=itemgetter(0))  # by values
-            run.reverse()  # emit by popping from the tail
-            self._run = run
+            while heap:
+                top_score, top_tie = heap[0][0], heap[0][1]
+                if top_score != score or top_tie[:lead] != prefix:
+                    # The group is complete: no later pull can join it.
+                    if len(buffer) >= least:
+                        break
+                    score, prefix = top_score, top_tie[:lead]
+                buffer.append(self._engine_next())
+            buffer.sort(key=itemgetter(1, 0))  # by score, then values
+            buffer.reverse()  # emit by popping from the tail
+            self._buffer = buffer
         self.emitted_count += 1
-        return self._run.pop()
+        return self._buffer.pop()
 
     def _engine_next(self) -> Optional[OutputTuple]:
         p = self.prepared

@@ -281,6 +281,22 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert len(engine.strip().splitlines()) == 25
 
 
+def test_gen_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
+    target = tmp_path / "afile"
+    target.write_text("")
+    assert main(["gen", "threepath", "--n", "2", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {target}: File exists\n"
+    assert target.read_text() == ""
+
+
+def test_gen_refuses_a_negative_n(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    assert main(["gen", "threepath", "--n", "-3", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n must be a non-negative integer, got -3\n")
+    assert not out_dir.exists()
+
+
 def test_gen_antichain_writes_vertex_weights(tmp_path, capsys):
     out_dir = tmp_path / "anti"
     assert main(["gen", "antichain", "--n", "3", "--out", str(out_dir)]) == 0
@@ -358,6 +374,23 @@ def test_plan_warns_when_ties_are_buffered(workspace, capsys, spec, warned):
     assert main(["plan", *args]) == 0
     out = capsys.readouterr().out
     assert ("buffered and sorted before the first of them" in out) == warned
+
+
+@pytest.mark.parametrize("head, group", [
+    # The root bag {x,y} holds x: a group shares a score and a value of x.
+    ("Q(x,y,z)", "each group of outputs that share a score and a value of x is"),
+    # It does not hold z: a group is the whole equal-score run.
+    ("Q(z,y,x)", "each whole run of outputs that share a score is"),
+])
+def test_plan_warning_names_the_buffered_group(tmp_path, capsys, head, group):
+    query = tmp_path / "query.txt"
+    query.write_text(f"{head} :- R(x,y), S(y,z)\n")
+    assert main(["plan", "--query", str(query), "--rank", "tuple_max"]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if "buffered and sorted before the first of them" in line]
+    assert warnings == [f"warning: under tuple_max, {group} buffered and sorted "
+                        "before the first of them is emitted, so the delay is "
+                        "unbounded when many outputs tie"]
 
 
 def test_plan_on_2000_atom_path(tmp_path, capsys):

@@ -1,0 +1,128 @@
+"""Equal-score outputs under `tuple_max`/`vertex_max` are buffered and sorted
+in whole groups: outputs that share their score and, when the root bag holds
+the first head variable, that variable's value. The first result of an
+all-ties input then costs cells in proportion to one group, not to the whole
+output, and the engine still agrees with the oracle line for line, whether a
+fill holds one group or `TIE_BATCH` outputs."""
+
+import random
+
+import pytest
+
+from rankjoin import cursor
+from rankjoin import (
+    Database,
+    RankedCursor,
+    Table,
+    UnionCursor,
+    brute_force_ranked,
+    format_record,
+    gen_threepath,
+    gyo_join_tree,
+    parse_decomposition,
+    parse_query,
+    parse_ranking,
+    prepare,
+)
+
+# name -> (query, decomposition text or None for the GYO tree, whether the
+# root bag holds the first head variable)
+QUERIES = {
+    "first_head_var_off_root": ("Q(z,y,x) :- R(x,y), S(y,z)", None, False),
+    "3path": ("Q(x,y,z,u) :- R(x,y), S(y,z), T(z,u)", None, True),
+    "3path_permuted_head": ("Q(u,z,y,x) :- R(x,y), S(y,z), T(z,u)", None, False),
+    "3path_rooted_at_T": (
+        "Q(z,u,x,y) :- R(x,y), S(y,z), T(z,u)",
+        "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nnode 2: {z,u} cover T\n"
+        "root 2\nedge 2 1\nedge 1 0\n",
+        True,
+    ),
+    "star": ("Q(x,y,z,u) :- R(x,y), S(x,z), T(x,u)", None, True),
+    "star_permuted_head": ("Q(y,x,z,u) :- R(x,y), S(x,z), T(x,u)", None, True),
+    "union": ("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)", None, True),
+    "disconnected": ("Q(x,y,z,u) :- R(x,y), S(z,u)", None, False),
+}
+RANKINGS = ("vertex_max", "tuple_max")
+# "ties": every weight is 0, so every output ties; "small": weights 0-2.
+WEIGHTS = ("ties", "small")
+SEEDS = 12
+
+
+def instance(name: str, weights: str, seed: int):
+    query_text, decomp_text, _ = QUERIES[name]
+    uq = parse_query(query_text)
+    rng = random.Random(f"{name}/{weights}/{seed}")
+    weight = (lambda: 0) if weights == "ties" else (lambda: rng.randint(0, 2))
+    domain = [str(v) for v in range(rng.randint(2, 5))]
+    atoms = {a.relation: a for cq in uq.disjuncts for a in cq.atoms}
+    tables = []
+    for relation, atom in sorted(atoms.items()):
+        rows = sorted({tuple(rng.choice(domain) for _ in atom.variables)
+                       for _ in range(rng.randint(1, 25))})
+        tables.append(Table.from_rows(relation, atom.variables, rows,
+                                      [weight() for _ in rows]))
+    db = Database.build(tables, {v: weight() for v in domain})
+    return db, uq, decomp_text
+
+
+def engine_lines(db, uq, rf, decomp_text):
+    cursors = []
+    for cq in uq.disjuncts:
+        decomp = parse_decomposition(decomp_text, cq) if decomp_text else None
+        cursors.append(RankedCursor(prepare(db, cq, rf, decomp)))
+    cursor = cursors[0] if len(cursors) == 1 else UnionCursor(cursors)
+    return [format_record(rf, db, out) for out in cursor.drain()]
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_fixture_roots(name):
+    # Both groupings are covered: by the first head value, and the whole run.
+    query_text, decomp_text, lead = QUERIES[name]
+    for cq in parse_query(query_text).disjuncts:
+        d = parse_decomposition(decomp_text, cq) if decomp_text else gyo_join_tree(cq)
+        assert (cq.head[0] in d.nodes[d.root].bag) == lead
+
+
+# One group per fill checks the group boundaries on small outputs; the
+# default checks fills of several groups.
+@pytest.mark.parametrize("batch", (1, cursor.TIE_BATCH))
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("spec", RANKINGS)
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_engine_matches_oracle(name, spec, weights, batch, monkeypatch):
+    monkeypatch.setattr(cursor, "TIE_BATCH", batch)
+    rf = parse_ranking(spec)
+    for seed in range(SEEDS):
+        db, uq, decomp_text = instance(name, weights, seed)
+        oracle = [format_record(rf, db, out) for out in brute_force_ranked(db, uq, rf)]
+        assert engine_lines(db, uq, rf, decomp_text) == oracle, seed
+
+
+def test_all_ties_first_result_costs_one_group():
+    # With no vertex weights, every output of the n^2-output 3-path scores 0.
+    n = 300
+    inst = gen_threepath(n)
+    db = Database.build(inst.tables)
+    uq = parse_query(inst.query_text)
+    rf = parse_ranking("vertex_max")
+    p = prepare(db, uq.disjuncts[0], rf)
+    first = RankedCursor(p).next()
+    assert p.counters.cells - p.initial_cells <= 2 * n
+    assert first == brute_force_ranked(db, uq, rf)[0]
+
+
+def test_fills_grow_to_tie_batch():
+    # 100 outputs tie, one per value of x, so each group is one output. A fill
+    # pulls as many groups as results were emitted, up to TIE_BATCH: the first
+    # result pulls one output, not the whole run.
+    rows = [(f"{v:03}", "0") for v in range(100)]
+    db = Database.build([Table.from_rows("R", ("x", "y"), rows, [0] * 100)])
+    uq = parse_query("Q(x,y) :- R(x,y)")
+    p = prepare(db, uq.disjuncts[0], parse_ranking("tuple_max"))
+    cursor = RankedCursor(p)
+    pops = []
+    for _ in range(40):
+        cursor.next()
+        pops.append(p.counters.pops)
+    assert pops[:8] == [1, 2, 4, 4, 8, 8, 8, 8]
+    assert pops[31:34] == [32, 64, 64]
