@@ -177,9 +177,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
             verdict = "compatible" if report.compatible else "INCOMPATIBLE"
             print(f"ranking {rf.spec()}: {verdict} ({report.reason})")
         if rf is not None and buffers_ties(rf):
-            if tie_lead(decomp):
+            lead = tie_lead(decomp)
+            if lead == 1:
                 group = (f"each group of outputs that share a score and a value "
                          f"of {cq.head[0]}")
+            elif lead:
+                group = (f"each group of outputs that share a score and values "
+                         f"of {','.join(cq.head[:lead])}")
             else:
                 group = "each whole run of outputs that share a score"
             print(

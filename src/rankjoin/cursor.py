@@ -25,10 +25,10 @@ records per-pull counter deltas in `pull_stats`.
 
 Under `tuple_max`/`vertex_max` the cursor buffers equal-score outputs and sorts
 them by value before emitting them (`buffers_ties`). A group is the outputs
-that share their score and their first `tie_lead` head values, not the whole
-score run. One fill pulls whole groups until it holds `TIE_BATCH` outputs or
-more (fewer before the cursor has emitted that many), and sorts them by score
-and values.
+that share their score and their values of the longest head prefix that the
+root bag holds (`tie_lead`), not the whole score run. One fill pulls whole
+groups until it holds `TIE_BATCH` outputs or more (fewer before the cursor has
+emitted that many), and sorts them by score and values.
 """
 
 from __future__ import annotations
@@ -116,15 +116,21 @@ def buffers_ties(rf: RankingFunction) -> bool:
 
 def tie_lead(d: TreeDecomposition) -> int:
     """How many leading head values the outputs of one buffered group share
-    besides their score: 1 when the root bag holds the first head variable,
-    else 0, and the group is the whole equal-score run.
+    besides their score: the length of the longest head prefix whose
+    variables the root bag holds. At 0 the group is the whole equal-score run.
 
     A root entry's siblings keep its bag valuation, and a root entry's tie is
     its output in head order. So an output pulled later in a score run can
     sort before one pulled earlier only if both share their root-bag values,
-    and with them their first head value."""
-    head = d.query.head
-    return 1 if head and head[0] in d.nodes[d.root].bag else 0
+    and with them every head value of that prefix. As (score, prefix values)
+    leads the sort key, the groups stay contiguous once sorted."""
+    bag = d.nodes[d.root].bag
+    lead = 0
+    for v in d.query.head:
+        if v not in bag:
+            break
+        lead += 1
+    return lead
 
 
 class Cursor:
@@ -154,6 +160,18 @@ class RankedCursor(Cursor):
         self._lead = tie_lead(prepared.decomposition)
         # The buffered groups, sorted by score and values, emitted from the tail.
         self._buffer: List[OutputTuple] = []
+        # Read once here rather than on every visit of the walk: per node id,
+        # its state, its children's ids and whether it is the root. The root
+        # queue list is never replaced, only pushed to and popped from.
+        d = prepared.decomposition
+        self._nodes = {
+            nid: (prepared.states[nid], node.children, nid == d.root)
+            for nid, node in d.nodes.items()
+        }
+        self._root = d.root
+        self._root_heap = prepared.root_state.queues.get(())
+        self._counters = prepared.counters
+        self._model = prepared.model
 
     def next(self) -> Optional[OutputTuple]:
         if not self._buffered:
@@ -169,14 +187,14 @@ class RankedCursor(Cursor):
             lead = self._lead
             score, prefix = first[1], first[0][:lead]
             least = min(TIE_BATCH, self.emitted_count)
-            heap = self.prepared.root_state.queues.get(())
+            heap = self._root_heap
             while heap:
-                top_score, top_tie = heap[0][0], heap[0][1]
-                if top_score != score or top_tie[:lead] != prefix:
+                top = heap[0]
+                if top[0] != score or top[1][:lead] != prefix:
                     # The group is complete: no later pull can join it.
                     if len(buffer) >= least:
                         break
-                    score, prefix = top_score, top_tie[:lead]
+                    score, prefix = top[0], top[1][:lead]
                 buffer.append(self._engine_next())
             buffer.sort(key=itemgetter(1, 0))  # by score, then values
             buffer.reverse()  # emit by popping from the tail
@@ -185,53 +203,50 @@ class RankedCursor(Cursor):
         return self._buffer.pop()
 
     def _engine_next(self) -> Optional[OutputTuple]:
-        p = self.prepared
-        root = p.decomposition.root
-        heap = p.states[root].queues.get(())
+        heap = self._root_heap
         if not heap:
             return None
         entry = heap[0]
         if self.stats:
-            before = p.counters.snapshot()
-            self._topdown(root, entry)
-            after = p.counters.snapshot()
+            counters = self._counters
+            before = counters.snapshot()
+            self._topdown(self._root, entry)
+            after = counters.snapshot()
             self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
         else:
-            self._topdown(root, entry)
-        return OutputTuple(entry[1], entry[0])
+            self._topdown(self._root, entry)
+        # `tuple.__new__` skips the named tuple's Python-level `__new__`.
+        return tuple.__new__(OutputTuple, (entry[1], entry[0]))
 
     def _topdown(self, nid: int, entry: Entry) -> Optional[Entry]:
         _, tie, valuation, node_score, child_entries, pivot = entry
-        p = self.prepared
-        state = p.states[nid]
+        state, children, is_root = self._nodes[nid]
         succ = state.succ.get(tie, UNSET)
         if succ is not UNSET:
             return succ
-        key = state.key(valuation)
-        heap = state.queues.get(key)
+        heap = state.queues.get(state.key(valuation))
         if not heap or heap[0] is not entry:
             raise EngineInvariantError(
                 f"node {nid}: consumed entry is not the top of its queue"
             )
         self._pop(heap)
-        p.counters.pops += 1
-        children = p.decomposition.nodes[nid].children
+        self._counters.pops += 1
         # Children below the pivot hold entries that this entry's Lawler
         # ancestors already consumed, so their successors are memoized.
         for i in range(pivot, len(children)):
             succ = self._topdown(children[i], child_entries[i])
             if succ is not None:
                 sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
-                self._insert(nid, key, valuation, node_score, sibling, i)
-        if nid == p.decomposition.root:
+                self._insert(state, heap, valuation, node_score, sibling, i)
+        if is_root:
             # Root entries are never memoized; consumed ones are simply dropped.
             return None
         succ = state.succ[tie] = heap[0] if heap else None
         return succ
 
-    def _insert(self, nid, key, valuation, node_score, child_entries, pivot) -> None:
-        p = self.prepared
-        state = p.states[nid]
-        entry = new_cell(state, p.model, valuation, node_score, child_entries, pivot)
-        self._push(state.queues[key], entry)
-        p.counters.inserts += 1
+    def _insert(self, state, heap, valuation, node_score, child_entries, pivot) -> None:
+        """Make the entry for `valuation` over `child_entries` and push it
+        onto `heap`, the node queue that its consumed sibling topped."""
+        entry = new_cell(state, self._model, valuation, node_score, child_entries, pivot)
+        self._push(heap, entry)
+        self._counters.inserts += 1

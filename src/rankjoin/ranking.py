@@ -208,7 +208,8 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
             if bad is not None:
                 raise WeightError(
                     f"product ranking needs strictly positive weights; "
-                    f"relation {rel.name} row {rel.rows[bad]} has weight "
+                    f"relation {rel.name} row "
+                    f"{tuple(map(db.decode, rel.rows[bad]))} has weight "
                     f"{rel.weights[bad]}"
                 )
     else:

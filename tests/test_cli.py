@@ -377,9 +377,12 @@ def test_plan_warns_when_ties_are_buffered(workspace, capsys, spec, warned):
 
 
 @pytest.mark.parametrize("head, group", [
-    # The root bag {x,y} holds x: a group shares a score and a value of x.
-    ("Q(x,y,z)", "each group of outputs that share a score and a value of x is"),
-    # It does not hold z: a group is the whole equal-score run.
+    # The root bag {x,y} holds the head prefix x,y: a group shares a score
+    # and the values of both.
+    ("Q(x,y,z)", "each group of outputs that share a score and values of x,y is"),
+    # The prefix stops at z: a group shares a score and a value of x.
+    ("Q(x,z,y)", "each group of outputs that share a score and a value of x is"),
+    # The bag does not hold z: a group is the whole equal-score run.
     ("Q(z,y,x)", "each whole run of outputs that share a score is"),
 ])
 def test_plan_warning_names_the_buffered_group(tmp_path, capsys, head, group):

@@ -112,7 +112,7 @@ def test_plan_refuses_a_lex_order_that_enumerate_refuses(running, spec):
                    "['u', 'w', 'y', 'z']"),
         ("bounded(vertex_max; q)", "bounded ranking names unknown variables ['q']"),
         ("tuple_product", "product ranking needs strictly positive weights; "
-                          "relation R3 row (0, 1) has weight 0"),
+                          "relation R3 row ('1', '2') has weight 0"),
     ],
 )
 def test_oracle_refuses_what_the_engine_refuses(running, spec, err):

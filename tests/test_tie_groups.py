@@ -1,9 +1,9 @@
 """Equal-score outputs under `tuple_max`/`vertex_max` are buffered and sorted
-in whole groups: outputs that share their score and, when the root bag holds
-the first head variable, that variable's value. The first result of an
-all-ties input then costs cells in proportion to one group, not to the whole
-output, and the engine still agrees with the oracle line for line, whether a
-fill holds one group or `TIE_BATCH` outputs."""
+in whole groups: outputs that share their score and their values of the
+longest head prefix that the root bag holds (`tie_lead`). The first result of
+an all-ties input then costs cells in proportion to one group, not to the
+whole output, and the engine still agrees with the oracle line for line,
+whether a fill holds one group or `TIE_BATCH` outputs."""
 
 import random
 
@@ -25,22 +25,24 @@ from rankjoin import (
     prepare,
 )
 
-# name -> (query, decomposition text or None for the GYO tree, whether the
-# root bag holds the first head variable)
+# name -> (query, decomposition text or None for the GYO tree, how many
+# leading head variables the root bag holds)
 QUERIES = {
-    "first_head_var_off_root": ("Q(z,y,x) :- R(x,y), S(y,z)", None, False),
-    "3path": ("Q(x,y,z,u) :- R(x,y), S(y,z), T(z,u)", None, True),
-    "3path_permuted_head": ("Q(u,z,y,x) :- R(x,y), S(y,z), T(z,u)", None, False),
+    "first_head_var_off_root": ("Q(z,y,x) :- R(x,y), S(y,z)", None, 0),
+    "2path": ("Q(x,y,z) :- R(x,y), S(y,z)", None, 2),
+    "2path_prefix_stops_at_z": ("Q(x,z,y) :- R(x,y), S(y,z)", None, 1),
+    "3path": ("Q(x,y,z,u) :- R(x,y), S(y,z), T(z,u)", None, 2),
+    "3path_permuted_head": ("Q(u,z,y,x) :- R(x,y), S(y,z), T(z,u)", None, 0),
     "3path_rooted_at_T": (
         "Q(z,u,x,y) :- R(x,y), S(y,z), T(z,u)",
         "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nnode 2: {z,u} cover T\n"
         "root 2\nedge 2 1\nedge 1 0\n",
-        True,
+        2,
     ),
-    "star": ("Q(x,y,z,u) :- R(x,y), S(x,z), T(x,u)", None, True),
-    "star_permuted_head": ("Q(y,x,z,u) :- R(x,y), S(x,z), T(x,u)", None, True),
-    "union": ("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)", None, True),
-    "disconnected": ("Q(x,y,z,u) :- R(x,y), S(z,u)", None, False),
+    "star": ("Q(x,y,z,u) :- R(x,y), S(x,z), T(x,u)", None, 2),
+    "star_permuted_head": ("Q(y,x,z,u) :- R(x,y), S(x,z), T(x,u)", None, 2),
+    "union": ("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)", None, 2),
+    "disconnected": ("Q(x,y,z,u) :- R(x,y), S(z,u)", None, 0),
 }
 RANKINGS = ("vertex_max", "tuple_max")
 # "ties": every weight is 0, so every output ties; "small": weights 0-2.
@@ -76,11 +78,12 @@ def engine_lines(db, uq, rf, decomp_text):
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_fixture_roots(name):
-    # Both groupings are covered: by the first head value, and the whole run.
+    # Every grouping is covered: the whole run (lead 0), a score and a value
+    # of x (lead 1), and a score and values of two head variables (lead 2).
     query_text, decomp_text, lead = QUERIES[name]
     for cq in parse_query(query_text).disjuncts:
         d = parse_decomposition(decomp_text, cq) if decomp_text else gyo_join_tree(cq)
-        assert (cq.head[0] in d.nodes[d.root].bag) == lead
+        assert cursor.tie_lead(d) == lead
 
 
 # One group per fill checks the group boundaries on small outputs; the
@@ -108,6 +111,26 @@ def test_all_ties_first_result_costs_one_group():
     p = prepare(db, uq.disjuncts[0], rf)
     first = RankedCursor(p).next()
     assert p.counters.cells - p.initial_cells <= 2 * n
+    assert first == brute_force_ranked(db, uq, rf)[0]
+
+
+def test_all_ties_first_result_costs_one_root_valuation():
+    # x = 1 joins m values of y, each with m values of z, and every output
+    # scores 0. The root bag {x,y} holds the head prefix x,y, so the first
+    # group is the m outputs of one y; grouping by x alone would pull m^2.
+    m = 30
+    ys = [f"y{i:02}" for i in range(m)]
+    r_rows = [("1", y) for y in ys]
+    s_rows = [(y, f"z{j:02}") for y in ys for j in range(m)]
+    db = Database.build([
+        Table.from_rows("R", ("x", "y"), r_rows, [0] * len(r_rows)),
+        Table.from_rows("S", ("y", "z"), s_rows, [0] * len(s_rows)),
+    ])
+    uq = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
+    rf = parse_ranking("tuple_max")
+    p = prepare(db, uq.disjuncts[0], rf)
+    first = RankedCursor(p).next()
+    assert p.counters.cells - p.initial_cells <= 2 * m
     assert first == brute_force_ranked(db, uq, rf)[0]
 
 

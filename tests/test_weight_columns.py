@@ -144,7 +144,7 @@ def test_product_names_the_first_non_positive_tuple_weight():
     db = _r_s([3, -2, 0], [1, 1])
     assert _product_error(db, "tuple_product") == (
         "product ranking needs strictly positive weights; "
-        "relation R row (1, 0) has weight -2"
+        "relation R row ('2', '1') has weight -2"
     )
     assert _product_error(_r_s([3, 2, 1]), "bounded(tuple_product; x,y)") == (
         "product ranking needs weights on relation S"
