@@ -244,7 +244,9 @@ def _stream(job: Job, limit: Optional[int]) -> int:
         out = cursor.next()
         if out is None:
             return EXIT_OK
-        print(format_record(rf, db, out))
+        # One write per line: `print` writes the line end separately, a
+        # second system call per record when output is unbuffered.
+        sys.stdout.write(format_record(rf, db, out) + "\n")
         emitted += 1
     return EXIT_TRUNCATED if cursor.next() is not None else EXIT_OK
 
@@ -349,7 +351,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if job.k is not None:
         results = results[: job.k]
     for out in results:
-        print(format_record(rf, db, out))
+        sys.stdout.write(format_record(rf, db, out) + "\n")
     return EXIT_OK
 
 

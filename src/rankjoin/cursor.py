@@ -28,7 +28,13 @@ them by value before emitting them (`buffers_ties`). A group is the outputs
 that share their score and their values of the longest head prefix that the
 root bag holds (`tie_lead`), not the whole score run. One fill pulls whole
 groups until it holds `TIE_BATCH` outputs or more (fewer before the cursor has
-emitted that many), and sorts them by score and values.
+emitted that many), and sorts them by score and values. Every engine pull of
+such a cursor runs inside a fill (`_fill`), and a fill runs with the cyclic GC
+paused (`data._gc_paused`), as set-up does: what it makes forms no cycle, so
+a collection during it would free nothing, and on the way out it moves every
+tracked object, the caller's young ones too, to the oldest generation. A
+cursor that does not buffer pulls one output per `next()` with the GC as the
+caller left it, so its drains still run young collections.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
+from .data import _gc_paused
 from .decomposition import TreeDecomposition
 from .errors import EngineInvariantError
 from .preprocess import Counters, Entry, PreparedQuery, new_cell
@@ -180,27 +187,34 @@ class RankedCursor(Cursor):
                 self.emitted_count += 1
             return out
         if not self._buffer:
-            first = self._engine_next()
-            if first is None:
+            if not self._root_heap:
                 return None
-            buffer = [first]
-            lead = self._lead
-            score, prefix = first[1], first[0][:lead]
-            least = min(TIE_BATCH, self.emitted_count)
-            heap = self._root_heap
-            while heap:
-                top = heap[0]
-                if top[0] != score or top[1][:lead] != prefix:
-                    # The group is complete: no later pull can join it.
-                    if len(buffer) >= least:
-                        break
-                    score, prefix = top[0], top[1][:lead]
-                buffer.append(self._engine_next())
-            buffer.sort(key=itemgetter(1, 0))  # by score, then values
-            buffer.reverse()  # emit by popping from the tail
-            self._buffer = buffer
+            self._buffer = self._fill()
         self.emitted_count += 1
         return self._buffer.pop()
+
+    @_gc_paused
+    def _fill(self) -> List[OutputTuple]:
+        """Pull whole groups, from a root queue that is not empty, until they
+        hold at least `TIE_BATCH` outputs (fewer before the cursor has emitted
+        that many), and return them sorted by score and values, last first."""
+        first = self._engine_next()
+        buffer = [first]
+        lead = self._lead
+        score, prefix = first[1], first[0][:lead]
+        least = min(TIE_BATCH, self.emitted_count)
+        heap = self._root_heap
+        while heap:
+            top = heap[0]
+            if top[0] != score or top[1][:lead] != prefix:
+                # The group is complete: no later pull can join it.
+                if len(buffer) >= least:
+                    break
+                score, prefix = top[0], top[1][:lead]
+            buffer.append(self._engine_next())
+        buffer.sort(key=itemgetter(1, 0))  # by score, then values
+        buffer.reverse()  # emit by popping from the tail
+        return buffer
 
     def _engine_next(self) -> Optional[OutputTuple]:
         heap = self._root_heap

@@ -16,7 +16,9 @@ so no two entries of one node share a tie: entries order as tuples, in C, by
 successor under its tie. Entries hold only numbers and tuples and form no
 reference cycle, so one nothing references any more (a consumed root entry,
 say) is freed by its reference count. `prepare` runs with the cyclic GC paused
-(`data._gc_paused`) and leaves what it built in the oldest generation.
+(`data._gc_paused`) and leaves what it built in the oldest generation; so does
+each tie-buffer fill of a `*_max` cursor, which makes the entries and outputs
+of its pulls (cursor.py).
 
 Row work is compiled per node: queue keys and child-queue keys are getters
 over the bag valuation (`data.row_getter`), and so is the tie, over the bag

@@ -28,7 +28,7 @@ import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -168,7 +168,8 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
     preconditions that `prepare`, `plan` and the oracle share. A lex order
     lists exactly the head, and a bounded ranking's variables are head
     variables. With `db`: each atom's relation has one column per atom
-    variable, and under product every weight is strictly positive."""
+    variable, and under product every weight a score reads is strictly
+    positive."""
     if rf.kind == "lex":
         extra = set(rf.lex_order) - set(q.head)
         if extra:
@@ -196,8 +197,15 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
             )
     if rf.op != "product":
         return
+    # Only the weights a score reads: under bounded, those of the atoms
+    # within the bound variables, or of the constants in their columns, as
+    # `_bounded_value` reads them.
+    scored = rf.bound_vars if rf.kind == "bounded" else set(q.head)
     if (rf.inner_kind or rf.kind) == "tuple":
+        read = {a.relation for a in q.atoms if set(a.variables) <= scored}
         for rel in relations.values():
+            if rel.name not in read:
+                continue
             if rel.weights is None:
                 raise WeightError(
                     f"product ranking needs weights on relation {rel.name}"
@@ -213,9 +221,12 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
                     f"{rel.weights[bad]}"
                 )
     else:
-        used = set().union(
-            *(chain.from_iterable(rel.rows) for rel in relations.values())
-        )
+        used = set()
+        for atom in q.atoms:
+            rows = relations[atom.relation].rows
+            for i, v in enumerate(atom.variables):
+                if v in scored:
+                    used.update(map(operator.itemgetter(i), rows))
         first = min((c for c in used if db.vertex_weight(c) <= 0), default=None)
         if first is not None:
             raise WeightError(

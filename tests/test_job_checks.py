@@ -119,6 +119,13 @@ def test_oracle_refuses_what_the_engine_refuses(running, spec, err):
     assert running("oracle", spec) == (2, f"error: {err}\n")
 
 
+@pytest.mark.parametrize("command", ["enumerate", "oracle"])
+def test_bounded_product_ignores_a_weight_no_score_reads(running, command):
+    """R3's zero weight is no factor of `bounded(tuple_product; x,y)`, which
+    reads only R1's weights."""
+    assert running(command, "bounded(tuple_product; x,y)") == (0, "")
+
+
 def test_unknown_bounded_variable_under_decomp_is_a_validation_error(running):
     """Before the compatibility check: `q` is in no bag because it is no
     variable, which is a validation error (exit 2), not an incompatible

@@ -1,14 +1,16 @@
-"""Set-up entry points run with the cyclic GC paused.
+"""Set-up entry points and tie-buffer fills run with the cyclic GC paused.
 
-`load_csv`, `load_vertex_weights`, `Database.build` and `prepare` disable the
-GC while they run and, on the way out, promote every tracked object to the
-oldest generation. These tests pin what a caller can observe: the GC's
-enabled state and frozen objects are as they were, whether the call returns
-or raises, and the youngest generation starts empty. Pausing is safe only
-because set-up and enumeration make no reference cycles; the last test checks
-that on every corpus shape and ranking."""
+`load_csv`, `load_vertex_weights`, `Database.build`, `prepare` and each
+tie-buffer fill of a `*_max` cursor disable the GC while they run and, on the
+way out, promote every tracked object to the oldest generation. These tests
+pin what a caller can observe: no collection runs, the GC's enabled state and
+frozen objects are as they were, whether the call returns or raises, and the
+youngest generation starts empty. Pausing is safe only because set-up and
+enumeration make no reference cycles; the last test checks that on every
+corpus shape and ranking."""
 
 import gc
+import random
 import sys
 
 import pytest
@@ -21,6 +23,7 @@ from rankjoin import (
     RankedCursor,
     SchemaError,
     Table,
+    UnionCursor,
     load_csv,
     load_vertex_weights,
     parse_decomposition,
@@ -28,6 +31,7 @@ from rankjoin import (
     parse_ranking,
     prepare,
 )
+from rankjoin.cli import _gc_collections as _collections
 
 from helpers import RANK_SPECS, SHAPES, long_path, random_instance
 
@@ -97,6 +101,22 @@ def _calls(tmp_path):
     ]
 
 
+def test_set_up_runs_no_collection(tmp_path, gc_state):
+    """Set-up runs no collection, and neither do a few hundred allocations
+    after it: the youngest generation starts empty. On CPython 3.12 the
+    permanent generation holds the interpreter's immortal objects, which are
+    no objects of the caller's and must not stop the promotion."""
+    rows = "".join(f"{i},{i % 97},{i}\n" for i in range(5000))
+    path = _write(tmp_path, "big.csv", "x,y,w\n" + rows)
+    gc.enable()
+    before = _collections()
+    db = Database.build([load_csv(path, "R", weight_column="w")])
+    prepared = prepare(db, parse_query("Q(x,y) :- R(x,y)").disjuncts[0],
+                       parse_ranking("tuple_sum"))
+    young = [[] for _ in range(300)]
+    assert _collections() == before
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_gc_state_survives_return_and_raise(tmp_path, gc_state, enabled):
     """A caller's enabled GC is enabled again afterwards, and a caller's
@@ -156,3 +176,45 @@ def test_set_up_and_enumeration_leave_no_cycles(gc_state):
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def _union_ties_cursor(seed=5, n=40, m=240):
+    """A two-disjunct `vertex_max` union over random graphs whose vertex
+    weights take 8 values, so nearly every pull is tied in score."""
+    rng = random.Random(seed)
+    pairs = [(str(a), str(b)) for a in range(n) for b in range(n)]
+    db = Database.build(
+        [Table.from_rows(name, cols, sorted(rng.sample(pairs, m)))
+         for name, cols in (("R", ("x", "y")), ("S", ("y", "z")),
+                            ("T", ("y", "z")))],
+        {str(c): rng.randrange(8) for c in range(n)},
+    )
+    uq = parse_query("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)")
+    rf = parse_ranking("vertex_max")
+    return UnionCursor([RankedCursor(prepare(db, cq, rf)) for cq in uq.disjuncts])
+
+
+def test_drains_that_fill_run_no_collection(gc_state):
+    """Every engine pull under `vertex_max` runs inside a tie-buffer fill,
+    which pauses the GC and promotes what it made, so a drain of thousands of
+    results runs no collection of any generation."""
+    gc.enable()
+    cursor = _union_ties_cursor()
+    before = _collections()
+    results = cursor.drain()
+    assert _collections() == before
+    assert len(results) > 2000
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fills_keep_the_gc_state_and_frozen_objects(gc_state, enabled):
+    """A drain that fills leaves the GC enabled or disabled as it was, and
+    does not move objects the caller froze back into a generation."""
+    cursor = _union_ties_cursor(m=60)
+    kept = []
+    gc.freeze()
+    (gc.enable if enabled else gc.disable)()
+    assert cursor.drain()
+    assert gc.isenabled() is enabled
+    assert all(o is not kept for o in gc.get_objects())

@@ -42,9 +42,10 @@ def _union_cursor(db, uq, rf):
 
 
 class TestUnion:
-    def test_matches_oracle(self):
+    @pytest.mark.parametrize("spec", ["vertex_sum", "vertex_max", "tuple_max"])
+    def test_matches_oracle(self, spec):
         uq = parse_query(UNION_TEXT)
-        rf = parse_ranking("vertex_sum")
+        rf = parse_ranking(spec)
         for seed in range(10):
             db = _random_union_instance(seed)
             got = [format_record(rf, db, r) for r in _union_cursor(db, uq, rf).drain()]

@@ -146,8 +146,8 @@ def test_product_names_the_first_non_positive_tuple_weight():
         "product ranking needs strictly positive weights; "
         "relation R row ('2', '1') has weight -2"
     )
-    assert _product_error(_r_s([3, 2, 1]), "bounded(tuple_product; x,y)") == (
-        "product ranking needs weights on relation S"
+    assert _product_error(_r_s(None, [1, 1]), "bounded(tuple_product; x,y)") == (
+        "product ranking needs weights on relation R"
     )
 
 
@@ -157,4 +157,49 @@ def test_product_names_a_non_positive_vertex_weight():
     assert _product_error(_r_s([1, 1, 1], [1, 1]), "vertex_product") == (
         "product ranking needs strictly positive vertex weights; "
         "constant '2' has weight -3"
+    )
+
+
+def _r_s_25(r_weights, s_weights, vertex_weights):
+    """R rows `1,2` and `3,2`; S one row `2,5`."""
+    return Database.build([
+        Table.from_rows("R", ("x", "y"), [("1", "2"), ("3", "2")], r_weights),
+        Table.from_rows("S", ("y", "z"), [("2", "5")], s_weights),
+    ], vertex_weights)
+
+
+@pytest.mark.parametrize(
+    "spec, s_weights, vertex_weights",
+    [
+        ("bounded(tuple_product; x,y)", [0], None),
+        ("bounded(tuple_product; x,y)", None, None),
+        ("bounded(vertex_product; x,y)", None, {"1": 2, "2": 3, "3": 4, "5": 0}),
+    ],
+)
+def test_product_checks_only_the_weights_a_score_reads(spec, s_weights,
+                                                       vertex_weights):
+    """Under `bounded(*_product; x,y)` no score reads S's weights, nor the
+    weight of a constant that only z takes, so a zero or missing one there
+    is accepted, and the engine matches the oracle."""
+    db = _r_s_25([3, 4], s_weights, vertex_weights)
+    uq = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
+    rf = parse_ranking(spec)
+    got, _ = engine_lines(db, uq.disjuncts[0], rf)
+    assert len(got) == 2
+    assert got == oracle_lines(db, uq, rf)
+
+
+def test_bounded_product_refuses_a_weight_a_score_reads():
+    assert _product_error(
+        _r_s_25([3, 0], [1], None), "bounded(tuple_product; x,y)"
+    ) == (
+        "product ranking needs strictly positive weights; "
+        "relation R row ('3', '2') has weight 0"
+    )
+    assert _product_error(
+        _r_s_25([3, 4], [1], {"1": 2, "2": 0, "3": 4, "5": 1}),
+        "bounded(vertex_product; x,y)",
+    ) == (
+        "product ranking needs strictly positive vertex weights; "
+        "constant '2' has weight 0"
     )
