@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (topk: output exhausted), 10 topk truncated (more
 results remain), 2 validation error, 3 incompatible ranking, 4 oracle cap
-exceeded.
+exceeded, 141 stdout closed early (as a shell reports a process that SIGPIPE
+ended).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_ORACLE_CAP = 4
 EXIT_TRUNCATED = 10
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -391,7 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`rankjoin enumerate … | head`): stop
+        # without a traceback. Output still buffered goes to devnull, so the
+        # interpreter's flush at exit does not fail again (the SIGPIPE recipe
+        # of Python's `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except IncompatibleRankingError as e:
         print(f"error: incompatible ranking: {e}", file=sys.stderr)
         return EXIT_INCOMPATIBLE

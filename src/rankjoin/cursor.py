@@ -27,14 +27,18 @@ Under `tuple_max`/`vertex_max` the cursor buffers equal-score outputs and sorts
 them by value before emitting them (`buffers_ties`). A group is the outputs
 that share their score and their values of the longest head prefix that the
 root bag holds (`tie_lead`), not the whole score run. One fill pulls whole
-groups until it holds `TIE_BATCH` outputs or more (fewer before the cursor has
-emitted that many), and sorts them by score and values. Every engine pull of
+groups until it holds `TIE_BATCH` (8) outputs or more (fewer before the
+cursor has emitted that many), and sorts them by score and values, so a
+fill takes at most 7 outputs more than its largest group. Every engine pull of
 such a cursor runs inside a fill (`_fill`), and a fill runs with the cyclic GC
-paused (`data._gc_paused`), as set-up does: what it makes forms no cycle, so
+paused (`data._GcPause`), as set-up does: what it makes forms no cycle, so
 a collection during it would free nothing, and on the way out it moves every
-tracked object, the caller's young ones too, to the oldest generation. A
-cursor that does not buffer pulls one output per `next()` with the GC as the
-caller left it, so its drains still run young collections.
+tracked object, the caller's young ones too, to the oldest generation. Each
+cursor keeps its own `_GcPause`: once a fill has found objects the caller
+froze, later fills skip the walk over them that reading their count costs,
+and promote nothing. A cursor that does not buffer pulls one output per
+`next()` with the GC as the caller left it, so its drains still run young
+collections.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
-from .data import _gc_paused
+from .data import _GcPause
 from .decomposition import TreeDecomposition
 from .errors import EngineInvariantError
 from .preprocess import Counters, Entry, PreparedQuery, new_cell
@@ -54,12 +58,14 @@ from .result import OutputTuple
 UNSET = object()  # a tie missing from `NodeState.succ`, unlike a None successor
 # The fewest outputs one tie-buffer fill pulls, in whole groups, once the
 # cursor has emitted that many; until then a fill needs only as many as were
-# emitted, so the first fill is one group. Filling one group at a time made a
-# pull in about one union_ties result in six (its groups hold 4 outputs at
-# the median), which raised the median delay; at 32 the median delay matches
-# the whole-run buffer's, and a fill holds at most 31 outputs more than its
-# largest group.
-TIE_BATCH = 32
+# emitted, so the first fill is one group. A fill holds at most TIE_BATCH - 1
+# outputs more than its largest group. On union_ties (seed 1) a fill at 8
+# holds 9 outputs at the median (15 at p90, 26 at most) and about one union
+# pull in eight runs one; at 32 it held 34 (39, 49), which made the slowest
+# pulls about twice as slow for no better median delay. Filling one group at
+# a time made a pull in about one result in six run a fill, which raised the
+# median delay.
+TIE_BATCH = 8
 
 
 def counted_heap(counters: Counters) -> Tuple[Callable, Callable]:
@@ -167,6 +173,7 @@ class RankedCursor(Cursor):
         self._lead = tie_lead(prepared.decomposition)
         # The buffered groups, sorted by score and values, emitted from the tail.
         self._buffer: List[OutputTuple] = []
+        self._gc_pause = _GcPause()
         # Read once here rather than on every visit of the walk: per node id,
         # its state, its children's ids and whether it is the root. The root
         # queue list is never replaced, only pushed to and popped from.
@@ -189,15 +196,15 @@ class RankedCursor(Cursor):
         if not self._buffer:
             if not self._root_heap:
                 return None
-            self._buffer = self._fill()
+            self._buffer = self._gc_pause.run(self._fill)
         self.emitted_count += 1
         return self._buffer.pop()
 
-    @_gc_paused
     def _fill(self) -> List[OutputTuple]:
         """Pull whole groups, from a root queue that is not empty, until they
         hold at least `TIE_BATCH` outputs (fewer before the cursor has emitted
-        that many), and return them sorted by score and values, last first."""
+        that many), and return them sorted by score and values, last first.
+        `next` runs it with the GC paused."""
         first = self._engine_next()
         buffer = [first]
         lead = self._lead

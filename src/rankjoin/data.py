@@ -39,11 +39,11 @@ values are, and otherwise one dict over the zipped rows decides.
 
 `load_csv`, `load_vertex_weights`, `Database.build`, `preprocess.prepare` and
 each tie-buffer fill of a `*_max` cursor (`cursor.RankedCursor._fill`) run
-with the cyclic GC paused (`_gc_paused`). What they build forms no reference
-cycle, so a collection during them would only traverse it and free nothing.
-On the way out every tracked object, the caller's young ones included, moves
-to the oldest generation without a traversal; a later full collection is the
-first to examine it.
+with the cyclic GC paused (`_GcPause`; the fills of one cursor share one).
+What they build forms no reference cycle, so a collection during them would
+only traverse it and free nothing. On the way out every tracked object, the
+caller's young ones included, moves to the oldest generation without a
+traversal; a later full collection is the first to examine it.
 
 Weights are 64-bit integers; users needing reals are expected to scale to
 fixed-point. Tuples are plain python tuples of ids, which keeps joins and
@@ -95,8 +95,8 @@ INT64_MAX = 2**63 - 1
 _startup_frozen = gc.get_freeze_count()
 
 
-def _gc_paused(fn: Callable) -> Callable:
-    """Run `fn` with the cyclic GC paused, then move every tracked object,
+class _GcPause:
+    """Runs calls with the cyclic GC paused, then moves every tracked object,
     the caller's young ones included, to the oldest generation.
 
     Set-up builds many thousands of tuples, lists and dicts, and the
@@ -111,13 +111,23 @@ def _gc_paused(fn: Callable) -> Callable:
     are not promoted. The caller has frozen objects when the permanent
     generation holds more than the interpreter's own (`_startup_frozen`);
     objects frozen before this module is imported count as the
-    interpreter's."""
+    interpreter's.
 
-    @wraps(fn)
-    def paused(*args, **kwargs):
+    Reading that count walks every frozen object, so one instance serves
+    many calls (a cursor's fills) and remembers that the caller has frozen
+    objects: from then on it neither reads the count nor promotes."""
+
+    __slots__ = ("caller_froze",)
+
+    def __init__(self) -> None:
+        self.caller_froze = False
+
+    def run(self, fn: Callable, *args, **kwargs):
         if not gc.isenabled():
             return fn(*args, **kwargs)
-        promote = gc.get_freeze_count() <= _startup_frozen
+        if not self.caller_froze:
+            self.caller_froze = gc.get_freeze_count() > _startup_frozen
+        promote = not self.caller_froze
         gc.disable()
         try:
             return fn(*args, **kwargs)
@@ -126,6 +136,15 @@ def _gc_paused(fn: Callable) -> Callable:
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
+
+
+def _gc_paused(fn: Callable) -> Callable:
+    """Run each call of `fn` as `_GcPause.run` does, reading the frozen count
+    afresh every time."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        return _GcPause().run(fn, *args, **kwargs)
 
     return paused
 

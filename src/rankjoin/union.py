@@ -34,33 +34,37 @@ class UnionCursor(Cursor):
         if len(heads) != 1:
             raise EngineInvariantError(f"disjunct heads differ: {heads}")
         self.cursors = cursors
-        self._last: List[Optional[Tuple]] = [None] * len(cursors)
+        # One pending (score, values, disjunct, output) per live disjunct,
+        # led by its `compare_key`.
         self._heap: List[Tuple[object, Tuple[int, ...], int, OutputTuple]] = []
         self.emitted_count = 0
         self._emitted: Set[Tuple[int, ...]] = set()
-        for i in range(len(cursors)):
-            self._refill(i)
-
-    def _refill(self, idx: int) -> None:
-        item = self.cursors[idx].next()
-        if item is None:
-            return
-        key = compare_key(item)
-        if self._last[idx] is not None and key <= self._last[idx]:
-            raise EngineInvariantError(
-                f"disjunct {idx} emitted out of order: {key} after {self._last[idx]}"
-            )
-        self._last[idx] = key
-        score, values = key
-        heapq.heappush(self._heap, (score, values, idx, item))
+        for idx, c in enumerate(cursors):
+            item = c.next()
+            if item is not None:
+                heapq.heappush(self._heap, (*compare_key(item), idx, item))
 
     def next(self) -> Optional[OutputTuple]:
         heap, emitted = self._heap, self._emitted
         while heap:
-            _, values, idx, item = heapq.heappop(heap)
-            self._refill(idx)
-            if values not in emitted:
-                emitted.add(values)
+            top = heap[0]
+            idx, item = top[2], top[3]
+            # Replace the top by its disjunct's next output, which must rank
+            # after it: the top is that disjunct's last output.
+            following = self.cursors[idx].next()
+            if following is None:
+                heapq.heappop(heap)
+            else:
+                entry = (following[1], following[0], idx, following)
+                if entry <= top:
+                    raise EngineInvariantError(
+                        f"disjunct {idx} emitted out of order: {entry[:2]} "
+                        f"after {top[:2]}"
+                    )
+                heapq.heapreplace(heap, entry)
+            seen = len(emitted)
+            emitted.add(top[1])
+            if len(emitted) != seen:
                 self.emitted_count += 1
                 return item
         return None

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Tolerances are pinned in the assertions below; the randomized corpus is
-seeded, so every run checks the same 500 instances.
+seeded, so every run checks the same `CORPUS_SIZE` (625) instances.
 """
 
 import functools
@@ -41,11 +41,12 @@ from helpers import (
     engine_lines,
     oracle_lines,
     random_instance,
-    rank_for,
     running_example,
 )
 
-SEEDS_PER_CELL = 25  # 5 shapes x 4 rankings x 25 seeds = 500 instances
+SEEDS_PER_CELL = 25
+# Every shape under every one of its rankings: 5 shapes x 5 rankings x 25 seeds.
+CORPUS_SIZE = SEEDS_PER_CELL * sum(len(RANK_SPECS[s]) for s in SHAPES)
 
 
 def criterion(number, title):
@@ -66,15 +67,15 @@ def criterion(number, title):
 
 @functools.lru_cache(maxsize=1)
 def corpus():
-    """Engine-vs-oracle outcomes plus per-pull counters for all 500 corpus
-    instances; shared by criteria 2, 3 and 5."""
+    """Engine-vs-oracle outcomes plus per-pull counters for all
+    `CORPUS_SIZE` corpus instances; shared by criteria 2 and 3."""
     records = []
     t0 = time.perf_counter()
     for shape in sorted(SHAPES):
-        for ridx in range(4):
+        for spec in RANK_SPECS[shape]:
             for seed in range(SEEDS_PER_CELL):
                 db, uq, d = random_instance(shape, seed)
-                rf = rank_for(shape, ridx)
+                rf = parse_ranking(spec)
                 cq = uq.disjuncts[0]
                 prepared = prepare(db, cq, rf, d)
                 nodes = prepared.decomposition.nodes
@@ -90,7 +91,7 @@ def corpus():
                 records.append(
                     {
                         "shape": shape,
-                        "rank": RANK_SPECS[shape][ridx],
+                        "rank": spec,
                         "seed": seed,
                         "match": got == want,
                         "bounds_ok": bounds_ok,
@@ -130,10 +131,10 @@ def test_criterion_1_running_example():
     assert time.perf_counter() - t0 < 1.0
 
 
-@criterion(2, "oracle equivalence on 500 randomized instances, zero tolerance")
+@criterion(2, f"oracle equivalence on {CORPUS_SIZE} randomized instances, zero tolerance")
 def test_criterion_2_oracle_equivalence():
     records, elapsed = corpus()
-    assert len(records) == 500
+    assert len(records) == CORPUS_SIZE == 625
     mismatches = [r for r in records if not r["match"]]
     assert mismatches == []
     assert elapsed < 120.0

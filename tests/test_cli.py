@@ -487,3 +487,40 @@ def test_single_disjunct_commands_refuse_a_union(
     extra = ["--decomp", str(workspace / "d.txt")] if decomp else []
     assert main([command, *_base_args(workspace), *extra]) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def _cli(*args):
+    src = os.path.dirname(os.path.dirname(rankjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return [sys.executable, "-m", "rankjoin.cli", *args], env
+
+
+def test_reader_closing_the_pipe_stops_quietly(tmp_path, capsys):
+    """`rankjoin enumerate … | head -1`: the reader takes one line and closes
+    the pipe while 90,000 more are to come. The CLI stops without a
+    traceback and exits 141, as a shell reports a process SIGPIPE ended."""
+    assert main(["gen", "threepath", "--n", "300", "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    cmd, env = _cli("enumerate", "--config", str(tmp_path / "t" / "job.conf"))
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "2\ta001,b,c,d001\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+
+
+def test_closed_stdout_before_the_first_line(tmp_path):
+    """`rankjoin plan … | true`, with the reader gone before `plan` writes."""
+    (tmp_path / "query.txt").write_text(RUNNING_QUERY + "\n")
+    cmd, env = _cli("plan", "--query", str(tmp_path / "query.txt"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(cmd, env=env, stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, "")

@@ -19,6 +19,7 @@ from rankjoin import preprocess
 from rankjoin.errors import EngineInvariantError
 
 from helpers import (
+    RANK_SPECS,
     encode,
     engine_lines,
     long_path,
@@ -143,7 +144,8 @@ class TestInvariants:
         cases = [(db, q, None, parse_ranking("tuple_sum"))]
         for seed in range(3):
             db, uq, d = random_instance("star", seed)
-            cases += [(db, uq.disjuncts[0], d, rank_for("star", i)) for i in range(4)]
+            cases += [(db, uq.disjuncts[0], d, parse_ranking(spec))
+                      for spec in RANK_SPECS["star"]]
         for db, cq, d, rf in cases:
             calls.clear()
             made_at.clear()

@@ -218,3 +218,42 @@ def test_fills_keep_the_gc_state_and_frozen_objects(gc_state, enabled):
     assert cursor.drain()
     assert gc.isenabled() is enabled
     assert all(o is not kept for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("built_before_freeze", [True, False])
+def test_frozen_caller_reads_the_freeze_count_once_per_cursor(
+        gc_state, monkeypatch, built_before_freeze):
+    """Reading `gc.get_freeze_count()` walks every frozen object. Once a
+    cursor's fill has found objects the caller froze, its later fills neither
+    read the count again nor promote, so a drain of hundreds of fills reads it
+    at most once per disjunct cursor and moves no object into the permanent
+    generation or out of it. A cursor built before the freeze reads it at its
+    first fill after; its frozen entries that the drain consumes are freed,
+    so there the count can only fall."""
+    gc.enable()
+    if built_before_freeze:
+        cursor = _union_ties_cursor(m=120)
+    kept = []
+    gc.freeze()
+    if not built_before_freeze:
+        cursor = _union_ties_cursor(m=120)
+    frozen = gc.get_freeze_count()
+    reads = []
+    count = gc.get_freeze_count
+
+    def counted():
+        reads.append(1)
+        return count()
+
+    monkeypatch.setattr(gc, "get_freeze_count", counted)
+    results = cursor.drain()
+    monkeypatch.undo()
+    assert len(results) > 100 * len(cursor.cursors)
+    if built_before_freeze:
+        assert 0 < len(reads) <= len(cursor.cursors)
+        assert gc.get_freeze_count() <= frozen
+    else:
+        assert reads == []  # each cursor's first fill, in set-up, read it
+        assert gc.get_freeze_count() == frozen
+    assert all(o is not kept for o in gc.get_objects())
+    assert gc.isenabled()

@@ -3,9 +3,10 @@ in whole groups: outputs that share their score and their values of the
 longest head prefix that the root bag holds (`tie_lead`). The first result of
 an all-ties input then costs cells in proportion to one group, not to the
 whole output, and the engine still agrees with the oracle line for line,
-whether a fill holds one group or `TIE_BATCH` outputs."""
+whether a fill holds one group, `TIE_BATCH` outputs or 32."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,8 +88,8 @@ def test_fixture_roots(name):
 
 
 # One group per fill checks the group boundaries on small outputs; the
-# default checks fills of several groups.
-@pytest.mark.parametrize("batch", (1, cursor.TIE_BATCH))
+# default checks fills of several groups, and 32 fills of more groups still.
+@pytest.mark.parametrize("batch", (1, cursor.TIE_BATCH, 32))
 @pytest.mark.parametrize("weights", WEIGHTS)
 @pytest.mark.parametrize("spec", RANKINGS)
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -135,17 +136,64 @@ def test_all_ties_first_result_costs_one_root_valuation():
 
 
 def test_fills_grow_to_tie_batch():
-    # 100 outputs tie, one per value of x, so each group is one output. A fill
+    # Ties one output per value of x, so each group is one output. A fill
     # pulls as many groups as results were emitted, up to TIE_BATCH: the first
-    # result pulls one output, not the whole run.
-    rows = [(f"{v:03}", "0") for v in range(100)]
-    db = Database.build([Table.from_rows("R", ("x", "y"), rows, [0] * 100)])
+    # result pulls one output, not the whole run, fills double until they
+    # reach TIE_BATCH, and then each pulls TIE_BATCH.
+    batch = cursor.TIE_BATCH
+    assert batch & (batch - 1) == 0  # a power of two, for the doubling below
+    rows = [(f"{v:03}", "0") for v in range(4 * batch)]
+    db = Database.build([Table.from_rows("R", ("x", "y"), rows, [0] * len(rows))])
     uq = parse_query("Q(x,y) :- R(x,y)")
     p = prepare(db, uq.disjuncts[0], parse_ranking("tuple_max"))
-    cursor = RankedCursor(p)
+    ranked = RankedCursor(p)
     pops = []
-    for _ in range(40):
-        cursor.next()
+    for _ in range(3 * batch):
+        ranked.next()
         pops.append(p.counters.pops)
-    assert pops[:8] == [1, 2, 4, 4, 8, 8, 8, 8]
-    assert pops[31:34] == [32, 64, 64]
+    assert pops[:batch] == [1 << i.bit_length() for i in range(batch)]
+    assert pops[batch - 1 : batch + 2] == [batch, 2 * batch, 2 * batch]
+    assert pops[2 * batch - 1 : 2 * batch + 2] == [2 * batch, 3 * batch, 3 * batch]
+
+
+@pytest.mark.parametrize("name", ["2path", "2path_prefix_stops_at_z", "union"])
+def test_fills_hold_whole_groups_and_at_most_batch_more(name, monkeypatch):
+    # Vertex weights 0-2 over 30 constants: three scores, so each group is
+    # the outputs of one score and root-bag prefix, several outputs long.
+    # Every fill takes whole groups and stops at the first group boundary
+    # at or past TIE_BATCH outputs, so it holds at most TIE_BATCH - 1 more
+    # than its largest group.
+    query_text, _, lead = QUERIES[name]
+    uq = parse_query(query_text)
+    rng = random.Random(name)
+    domain = [str(v) for v in range(30)]
+    pairs = [(a, b) for a in domain for b in domain]
+    atoms = {a.relation: a for cq in uq.disjuncts for a in cq.atoms}
+    db = Database.build(
+        [Table.from_rows(r, atom.variables, sorted(rng.sample(pairs, 200)))
+         for r, atom in sorted(atoms.items())],
+        {v: rng.randint(0, 2) for v in domain},
+    )
+    rf = parse_ranking("vertex_max")
+    fills = []
+    fill = cursor.RankedCursor._fill
+
+    def recorded(self):
+        out = fill(self)
+        fills.append(list(out))  # `next` pops from `out`
+        return out
+
+    monkeypatch.setattr(cursor.RankedCursor, "_fill", recorded)
+    group = lambda out: (out.score, out.values[:lead])
+    sizes = {}
+    for cq in uq.disjuncts:
+        fills.clear()
+        outputs = RankedCursor(prepare(db, cq, rf)).drain()
+        assert len(outputs) > 20 * cursor.TIE_BATCH
+        totals = Counter(map(group, outputs))
+        for out in fills:
+            held = Counter(map(group, out))
+            assert all(held[g] == totals[g] for g in held)
+            assert len(out) <= cursor.TIE_BATCH + max(held.values()) - 1
+        sizes[cq] = [len(out) for out in fills]
+    assert any(max(s) > cursor.TIE_BATCH for s in sizes.values())

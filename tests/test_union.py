@@ -101,6 +101,23 @@ class TestUnion:
         with pytest.raises(EngineInvariantError):
             UnionCursor([a, b])
 
+    def test_disjunct_out_of_order_is_an_engine_fault(self):
+        """A disjunct whose next output does not rank after its last one, a
+        repeat included, stops the merge and names both keys."""
+        from rankjoin import OutputTuple
+
+        uq = parse_query(UNION_TEXT)
+        rf = parse_ranking("vertex_sum")
+        db = _random_union_instance(0)
+        union = _union_cursor(db, uq, rf)
+        first = union.next()
+        stale = OutputTuple(first.values, first.score)
+        for c in union.cursors:
+            c.next = lambda: stale
+        with pytest.raises(EngineInvariantError,
+                           match=r"disjunct \d emitted out of order: \("):
+            union.drain()
+
     def test_compare_key_semantics(self):
         from rankjoin import OutputTuple
 
