@@ -9,6 +9,17 @@ shares. Memoized entries short-circuit on later visits — that is what keeps
 per-pull work proportional to the tree size rather than the subtree result
 size.
 
+The walk is compiled once, when the cursor is built (`_compile_walk`): one
+step function per node, made bottom-up, binds what a visit would otherwise
+look up: the node's memo, its queue lookup and key getter, its child steps,
+the heap pop, the counters and the class's `_insert`. A step takes the cursor
+as its first argument and holds no reference to it, so a cursor forms no
+reference cycle. The root step pops the root queue directly, with no memo
+lookup, as root entries are never memoized. Every insert still goes through
+`RankedCursor._insert`, but as the class defined it when the cursor was
+built: patching `_insert` afterwards does not reach that cursor's walk. Steps
+call their child steps, so the walk still recurses once per tree level.
+
 The pivot rule is Lawler's partition (Lawler, "A procedure for computing the
 K best solutions to discrete optimization problems and its application to the
 shortest path problem", Management Science, 1972): the sibling made by
@@ -28,8 +39,10 @@ them by value before emitting them (`buffers_ties`). A group is the outputs
 that share their score and their values of the longest head prefix that the
 root bag holds (`tie_lead`), not the whole score run. One fill pulls whole
 groups until it holds `TIE_BATCH` (8) outputs or more (fewer before the
-cursor has emitted that many), and sorts them by score and values, so a
-fill takes at most 7 outputs more than its largest group. Every engine pull of
+cursor has emitted that many), so it takes at most 7 outputs more than its
+largest group. It sorts the consumed root entries themselves, in C: a root
+entry's tie is its output in head order, so (score, tie) is the output order,
+and it builds the outputs once they are sorted. Every engine pull of
 such a cursor runs inside a fill (`_fill`), and a fill runs with the cyclic GC
 paused (`data._GcPause`), as set-up does: what it makes forms no cycle, so
 a collection during it would free nothing, and on the way out it moves every
@@ -45,13 +58,13 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from operator import itemgetter
+from operator import sub
 from typing import Callable, List, Optional, Tuple
 
 from .data import _GcPause
 from .decomposition import TreeDecomposition
 from .errors import EngineInvariantError
-from .preprocess import Counters, Entry, PreparedQuery, new_cell
+from .preprocess import Counters, PreparedQuery, new_cell
 from .ranking import RankingFunction
 from .result import OutputTuple
 
@@ -165,105 +178,63 @@ class RankedCursor(Cursor):
         # cells). Without, it stays empty and comparisons are not counted.
         self.stats = stats
         self.pull_stats: List[Tuple[int, int, int, int]] = []
+        counters = prepared.counters
         if stats:
-            self._push, self._pop = counted_heap(prepared.counters)
+            self._push, pop = counted_heap(counters)
         else:
-            self._push, self._pop = heapq.heappush, heapq.heappop
+            self._push, pop = heapq.heappush, heapq.heappop
         self._buffered = buffers_ties(prepared.model.rf)
         self._lead = tie_lead(prepared.decomposition)
         # The buffered groups, sorted by score and values, emitted from the tail.
         self._buffer: List[OutputTuple] = []
         self._gc_pause = _GcPause()
-        # Read once here rather than on every visit of the walk: per node id,
-        # its state, its children's ids and whether it is the root. The root
-        # queue list is never replaced, only pushed to and popped from.
-        d = prepared.decomposition
-        self._nodes = {
-            nid: (prepared.states[nid], node.children, nid == d.root)
-            for nid, node in d.nodes.items()
-        }
-        self._root = d.root
+        # The root queue list is never replaced, only pushed to and popped from.
         self._root_heap = prepared.root_state.queues.get(())
-        self._counters = prepared.counters
+        self._counters = counters
         self._model = prepared.model
+        step = _compile_walk(prepared, pop, type(self)._insert)
+        if stats:
+            step = _recorded(step, counters, self.pull_stats)
+        self._root_step = step
 
     def next(self) -> Optional[OutputTuple]:
-        if not self._buffered:
-            out = self._engine_next()
-            if out is not None:
-                self.emitted_count += 1
-            return out
-        if not self._buffer:
-            if not self._root_heap:
-                return None
-            self._buffer = self._gc_pause.run(self._fill)
+        if self._buffered:
+            if not self._buffer:
+                if not self._root_heap:
+                    return None
+                self._buffer = self._gc_pause.run(self._fill)
+            self.emitted_count += 1
+            return self._buffer.pop()
+        if not self._root_heap:
+            return None
+        entry = self._root_step(self)
         self.emitted_count += 1
-        return self._buffer.pop()
+        # `tuple.__new__` skips the named tuple's Python-level `__new__`.
+        return tuple.__new__(OutputTuple, (entry[1], entry[0]))
 
     def _fill(self) -> List[OutputTuple]:
         """Pull whole groups, from a root queue that is not empty, until they
         hold at least `TIE_BATCH` outputs (fewer before the cursor has emitted
         that many), and return them sorted by score and values, last first.
         `next` runs it with the GC paused."""
-        first = self._engine_next()
-        buffer = [first]
-        lead = self._lead
-        score, prefix = first[1], first[0][:lead]
+        step, heap, lead = self._root_step, self._root_heap, self._lead
+        first = step(self)
+        consumed = [first]
+        score, prefix = first[0], first[1][:lead]
         least = min(TIE_BATCH, self.emitted_count)
-        heap = self._root_heap
         while heap:
             top = heap[0]
             if top[0] != score or top[1][:lead] != prefix:
                 # The group is complete: no later pull can join it.
-                if len(buffer) >= least:
+                if len(consumed) >= least:
                     break
                 score, prefix = top[0], top[1][:lead]
-            buffer.append(self._engine_next())
-        buffer.sort(key=itemgetter(1, 0))  # by score, then values
-        buffer.reverse()  # emit by popping from the tail
-        return buffer
-
-    def _engine_next(self) -> Optional[OutputTuple]:
-        heap = self._root_heap
-        if not heap:
-            return None
-        entry = heap[0]
-        if self.stats:
-            counters = self._counters
-            before = counters.snapshot()
-            self._topdown(self._root, entry)
-            after = counters.snapshot()
-            self.pull_stats.append(tuple(a - b for a, b in zip(after, before)))
-        else:
-            self._topdown(self._root, entry)
-        # `tuple.__new__` skips the named tuple's Python-level `__new__`.
-        return tuple.__new__(OutputTuple, (entry[1], entry[0]))
-
-    def _topdown(self, nid: int, entry: Entry) -> Optional[Entry]:
-        _, tie, valuation, node_score, child_entries, pivot = entry
-        state, children, is_root = self._nodes[nid]
-        succ = state.succ.get(tie, UNSET)
-        if succ is not UNSET:
-            return succ
-        heap = state.queues.get(state.key(valuation))
-        if not heap or heap[0] is not entry:
-            raise EngineInvariantError(
-                f"node {nid}: consumed entry is not the top of its queue"
-            )
-        self._pop(heap)
-        self._counters.pops += 1
-        # Children below the pivot hold entries that this entry's Lawler
-        # ancestors already consumed, so their successors are memoized.
-        for i in range(pivot, len(children)):
-            succ = self._topdown(children[i], child_entries[i])
-            if succ is not None:
-                sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
-                self._insert(state, heap, valuation, node_score, sibling, i)
-        if is_root:
-            # Root entries are never memoized; consumed ones are simply dropped.
-            return None
-        succ = state.succ[tie] = heap[0] if heap else None
-        return succ
+            consumed.append(step(self))
+        # Root entries order by (score, output values), as their tie is the
+        # output in head order and no two share it; emit by popping the tail.
+        consumed.sort(reverse=True)
+        new = tuple.__new__
+        return [new(OutputTuple, (e[1], e[0])) for e in consumed]
 
     def _insert(self, state, heap, valuation, node_score, child_entries, pivot) -> None:
         """Make the entry for `valuation` over `child_entries` and push it
@@ -271,3 +242,87 @@ class RankedCursor(Cursor):
         entry = new_cell(state, self._model, valuation, node_score, child_entries, pivot)
         self._push(heap, entry)
         self._counters.inserts += 1
+
+
+def _compile_walk(prepared: PreparedQuery, pop: Callable, insert: Callable) -> Callable:
+    """The root step of `prepared`'s walk, built bottom-up from one step per
+    node. A step takes the cursor, which it passes on to `insert` and to its
+    child steps, and holds no reference to it."""
+    d, counters = prepared.decomposition, prepared.counters
+    steps = {}
+    for nid in d.post_order():
+        state = prepared.states[nid]
+        child_steps = tuple(steps[c] for c in d.nodes[nid].children)
+        if nid == d.root:
+            steps[nid] = _make_root_step(state, child_steps, pop, insert, counters)
+        else:
+            steps[nid] = _make_node_step(nid, state, child_steps, pop, insert, counters)
+    return steps[d.root]
+
+
+def _make_root_step(state, child_steps, pop, insert, counters) -> Callable:
+    """`(cursor) -> entry`: consume the top of the root queue, which must not
+    be empty, insert one sibling per child at or after its pivot, and return
+    it. Root entries are never memoized; consumed ones are simply dropped."""
+    heap, n = state.queues.get(()), len(child_steps)
+
+    def root_step(cur):
+        entry = pop(heap)
+        counters.pops += 1
+        child_entries = entry[4]
+        for i in range(entry[5], n):
+            succ = child_steps[i](cur, child_entries[i])
+            if succ is not None:
+                sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
+                insert(cur, state, heap, entry[2], entry[3], sibling, i)
+        return entry
+
+    return root_step
+
+
+def _make_node_step(nid, state, child_steps, pop, insert, counters) -> Callable:
+    """`(cursor, entry) -> successor`: the memoized successor of `entry` at
+    node `nid`, or else consume `entry`, which must top its queue, insert one
+    sibling per child at or after its pivot, and memoize the queue's new top
+    (None when it is empty)."""
+    memo, memo_get = state.succ, state.succ.get
+    queue_of, key, n = state.queues.get, state.key, len(child_steps)
+
+    def step(cur, entry):
+        tie = entry[1]
+        succ = memo_get(tie, UNSET)
+        if succ is not UNSET:
+            return succ
+        valuation = entry[2]
+        heap = queue_of(key(valuation))
+        if not heap or heap[0] is not entry:
+            raise EngineInvariantError(
+                f"node {nid}: consumed entry is not the top of its queue"
+            )
+        pop(heap)
+        counters.pops += 1
+        # Children below the pivot hold entries that this entry's Lawler
+        # ancestors already consumed, so their successors are memoized.
+        child_entries = entry[4]
+        for i in range(entry[5], n):
+            succ = child_steps[i](cur, child_entries[i])
+            if succ is not None:
+                sibling = child_entries[:i] + (succ,) + child_entries[i + 1 :]
+                insert(cur, state, heap, valuation, entry[3], sibling, i)
+        succ = memo[tie] = heap[0] if heap else None
+        return succ
+
+    return step
+
+
+def _recorded(root_step: Callable, counters: Counters, pull_stats: List) -> Callable:
+    """`root_step`, appending each call's counter deltas to `pull_stats`."""
+    snapshot, record = counters.snapshot, pull_stats.append
+
+    def recorded_step(cur):
+        before = snapshot()
+        entry = root_step(cur)
+        record(tuple(map(sub, snapshot(), before)))
+        return entry
+
+    return recorded_step

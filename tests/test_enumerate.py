@@ -20,6 +20,7 @@ from rankjoin.errors import EngineInvariantError
 
 from helpers import (
     RANK_SPECS,
+    SHAPES,
     encode,
     engine_lines,
     long_path,
@@ -116,6 +117,31 @@ class TestInvariants:
             assert pops <= max_pops
             assert inserts <= max_inserts
             assert cells <= max_inserts
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_insert_patched_before_construction_sees_every_insert(
+            self, shape, monkeypatch):
+        """A cursor's compiled walk reads `RankedCursor._insert` when the
+        cursor is built, so a wrapper installed before that (as a tracer
+        does) sees exactly the entries the drain makes, under every
+        ranking."""
+        calls = []
+        insert = RankedCursor._insert
+
+        def counted(self, *args):
+            calls.append(self)
+            return insert(self, *args)
+
+        monkeypatch.setattr(RankedCursor, "_insert", counted)
+        for spec in RANK_SPECS[shape]:
+            for seed in range(3):
+                calls.clear()
+                db, uq, d = random_instance(shape, seed)
+                p = prepare(db, uq.disjuncts[0], parse_ranking(spec), d)
+                cursor = RankedCursor(p)
+                cursor.drain()
+                assert len(calls) == p.counters.inserts - p.initial_cells
+                assert all(c is cursor for c in calls)
 
     def test_each_child_combination_generated_once(self, monkeypatch):
         """Lawler's pivot rule: every sibling insert creates a cell (none is

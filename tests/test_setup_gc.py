@@ -157,8 +157,9 @@ def test_frozen_objects_stay_frozen(tmp_path, gc_state):
 
 
 def test_set_up_and_enumeration_leave_no_cycles(gc_state):
-    """Every object set-up and a full drain make is freed by its reference
-    count: a collection afterwards finds nothing unreachable."""
+    """Every object set-up and a full drain make, of a cursor or of a union
+    of cursors, is freed by its reference count: a collection afterwards
+    finds nothing unreachable."""
     gc.enable()
     gc.collect()
     flags = gc.get_debug()
@@ -171,6 +172,10 @@ def test_set_up_and_enumeration_leave_no_cycles(gc_state):
                 cursor = RankedCursor(prepare(db, uq.disjuncts[0], rf, decomp))
                 assert cursor.drain()
                 del db, uq, decomp, rf, cursor
+        for spec in ("vertex_max", "vertex_sum", "tuple_sum"):
+            cursor = _union_cursor(spec, m=60)
+            assert cursor.drain()
+            del cursor
         gc.collect()
         assert gc.garbage == []
     finally:
@@ -181,16 +186,25 @@ def test_set_up_and_enumeration_leave_no_cycles(gc_state):
 def _union_ties_cursor(seed=5, n=40, m=240):
     """A two-disjunct `vertex_max` union over random graphs whose vertex
     weights take 8 values, so nearly every pull is tied in score."""
+    return _union_cursor("vertex_max", seed, n, m)
+
+
+def _union_cursor(spec, seed=5, n=40, m=240):
+    """A two-disjunct union under `spec` over random graphs with tuple
+    weights and vertex weights of 8 values each."""
     rng = random.Random(seed)
     pairs = [(str(a), str(b)) for a in range(n) for b in range(n)]
+    edges = [(name, cols, sorted(rng.sample(pairs, m)))
+             for name, cols in (("R", ("x", "y")), ("S", ("y", "z")),
+                                ("T", ("y", "z")))]
+    vertex_weights = {str(c): rng.randrange(8) for c in range(n)}
     db = Database.build(
-        [Table.from_rows(name, cols, sorted(rng.sample(pairs, m)))
-         for name, cols in (("R", ("x", "y")), ("S", ("y", "z")),
-                            ("T", ("y", "z")))],
-        {str(c): rng.randrange(8) for c in range(n)},
+        [Table.from_rows(name, cols, rows, [rng.randrange(8) for _ in rows])
+         for name, cols, rows in edges],
+        vertex_weights,
     )
     uq = parse_query("Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)")
-    rf = parse_ranking("vertex_max")
+    rf = parse_ranking(spec)
     return UnionCursor([RankedCursor(prepare(db, cq, rf)) for cq in uq.disjuncts])
 
 

@@ -17,22 +17,60 @@ from rankjoin import (
 from rankjoin.union import compare_key
 
 
-def _random_union_instance(seed, identical=False):
+def _random_union_instance(seed, identical=False, weighted=False):
     rng = random.Random(seed)
     dom = [str(i) for i in range(4)]
 
     def rows():
         return sorted({(rng.choice(dom), rng.choice(dom)) for _ in range(10)})
 
-    tabs = [Table.from_rows("R", ("x", "y"), rows())]
+    tabs = [("R", ("x", "y"), rows())]
     s_rows = rows()
-    tabs.append(Table.from_rows("S", ("y", "z"), s_rows))
-    tabs.append(Table.from_rows("T", ("y", "z"), s_rows if identical else rows()))
+    tabs.append(("S", ("y", "z"), s_rows))
+    tabs.append(("T", ("y", "z"), s_rows if identical else rows()))
     vw = {v: rng.randint(-6, 6) for v in dom}
+    if weighted:
+        # R's weights are drawn once, so the disjuncts share them.
+        weights = {name: [rng.randint(-9, 9) for _ in rows] for name, _, rows in tabs}
+        tabs = [Table.from_rows(name, cols, rows, weights[name])
+                for name, cols, rows in tabs]
+    else:
+        tabs = [Table.from_rows(*t) for t in tabs]
     return Database.build(tabs, vw)
 
 
+def _three_way_instance(seed):
+    """R, S and T as above, with U sharing about half of R's rows (and their
+    weights), so the three disjuncts of `THREE_WAY_TEXT` overlap pairwise."""
+    rng = random.Random(seed)
+    dom = [str(i) for i in range(5)]
+    pairs = [(a, b) for a in dom for b in dom]
+
+    def table(name, cols, rows):
+        rows = sorted(rows)
+        return name, cols, rows, {r: rng.randint(-9, 9) for r in rows}
+
+    r = table("R", ("x", "y"), rng.sample(pairs, 12))
+    s = table("S", ("y", "z"), rng.sample(pairs, 12))
+    t = table("T", ("y", "z"), rng.sample(s[2], 6) + rng.sample(pairs, 6))
+    shared = rng.sample(r[2], 6)
+    u = table("U", ("x", "y"), set(shared + rng.sample(pairs, 6)))
+    u[3].update((row, r[3][row]) for row in shared)
+    vw = {v: rng.randint(-6, 6) for v in dom}
+    return Database.build(
+        [Table.from_rows(name, cols, rows, [w[row] for row in rows])
+         for name, cols, rows, w in (r, s, t, u)],
+        vw,
+    )
+
+
 UNION_TEXT = "Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z)"
+THREE_WAY_TEXT = (
+    "Q(x,y,z) :- R(x,y), S(y,z) | R(x,y), T(y,z) | U(x,y), S(y,z)"
+)
+# Rankings that score an output by its values alone, and the others.
+VALUE_ONLY_SPECS = ["vertex_sum", "vertex_max", "lex(z,x,y)", "bounded(vertex_max; y)"]
+TUPLE_SPECS = ["tuple_sum", "tuple_max", "bounded(tuple_sum; y,z)"]
 
 
 def _union_cursor(db, uq, rf):
@@ -41,16 +79,49 @@ def _union_cursor(db, uq, rf):
     )
 
 
+def _matches_oracle(db, uq, rf):
+    got = [format_record(rf, db, r) for r in _union_cursor(db, uq, rf).drain()]
+    want = [format_record(rf, db, r) for r in brute_force_ranked(db, uq, rf)]
+    assert got == want
+    return got
+
+
 class TestUnion:
-    @pytest.mark.parametrize("spec", ["vertex_sum", "vertex_max", "tuple_max"])
+    @pytest.mark.parametrize("spec", VALUE_ONLY_SPECS + TUPLE_SPECS)
     def test_matches_oracle(self, spec):
         uq = parse_query(UNION_TEXT)
         rf = parse_ranking(spec)
         for seed in range(10):
-            db = _random_union_instance(seed)
-            got = [format_record(rf, db, r) for r in _union_cursor(db, uq, rf).drain()]
-            want = [format_record(rf, db, r) for r in brute_force_ranked(db, uq, rf)]
-            assert got == want
+            _matches_oracle(_random_union_instance(seed), uq, rf)
+            _matches_oracle(_random_union_instance(seed, weighted=True), uq, rf)
+
+    @pytest.mark.parametrize("spec", VALUE_ONLY_SPECS + TUPLE_SPECS)
+    def test_three_overlapping_disjuncts_match_oracle(self, spec):
+        uq = parse_query(THREE_WAY_TEXT)
+        rf = parse_ranking(spec)
+        overlaps = 0
+        for seed in range(10):
+            db = _three_way_instance(seed)
+            got = _matches_oracle(db, uq, rf)
+            derived = sum(
+                len(RankedCursor(prepare(db, cq, rf)).drain()) for cq in uq.disjuncts
+            )
+            overlaps += derived - len(got)
+        assert overlaps > 20
+
+    @pytest.mark.parametrize("spec", VALUE_ONLY_SPECS)
+    def test_value_only_drain_keeps_no_per_output_state(self, spec):
+        """Under a ranking that reads only the output values, duplicates
+        meet at the top of the merge, so the union holds no container with
+        more than one item per disjunct, however many results it emitted."""
+        uq = parse_query(THREE_WAY_TEXT)
+        rf = parse_ranking(spec)
+        db = _three_way_instance(0)
+        union = _union_cursor(db, uq, rf)
+        assert len(union.drain()) > 10 * len(union.cursors)
+        held = {name: len(value) for name, value in vars(union).items()
+                if isinstance(value, (list, set, dict))}
+        assert held and max(held.values()) <= len(union.cursors), held
 
     def test_duplicate_free_strictly_increasing(self):
         uq = parse_query(UNION_TEXT)
@@ -100,6 +171,43 @@ class TestUnion:
         )
         with pytest.raises(EngineInvariantError):
             UnionCursor([a, b])
+
+    def test_mixed_rankings_rejected(self):
+        # Scores of different rankings do not compare: a `vertex_sum` score
+        # and a `vertex_max` one would merge as if on one scale.
+        db = _random_union_instance(0)
+        uq = parse_query(UNION_TEXT)
+        a, b = (
+            RankedCursor(prepare(db, cq, parse_ranking(spec)))
+            for cq, spec in zip(uq.disjuncts, ("vertex_sum", "vertex_max"))
+        )
+        with pytest.raises(EngineInvariantError,
+                           match=r"disjunct 0 .* vertex_sum, disjunct 1 .* vertex_max"):
+            UnionCursor([a, b])
+
+    def test_mixed_databases_rejected(self):
+        # Constant ids are per database, so outputs of two databases do not
+        # compare even when their contents are equal.
+        uq = parse_query(UNION_TEXT)
+        rf = parse_ranking("vertex_sum")
+        a, b = (
+            RankedCursor(prepare(_random_union_instance(0), cq, rf))
+            for cq in uq.disjuncts
+        )
+        with pytest.raises(EngineInvariantError,
+                           match=r"disjuncts 0 and 1 .* different Database"):
+            UnionCursor([a, b])
+
+    def test_equal_rankings_parsed_apart_are_accepted(self):
+        db = _random_union_instance(2)
+        uq = parse_query(UNION_TEXT)
+        cursors = [
+            RankedCursor(prepare(db, cq, parse_ranking("bounded(vertex_max; y)")))
+            for cq in uq.disjuncts
+        ]
+        rf = parse_ranking("bounded(vertex_max; y)")
+        got = [format_record(rf, db, r) for r in UnionCursor(cursors).drain()]
+        assert got == [format_record(rf, db, r) for r in brute_force_ranked(db, uq, rf)]
 
     def test_disjunct_out_of_order_is_an_engine_fault(self):
         """A disjunct whose next output does not rank after its last one, a
