@@ -16,8 +16,6 @@ from .data import Database, Relation, Table, load_csv, load_vertex_weights, semi
 from .decomposition import (
     DecompNode,
     TreeDecomposition,
-    augment_for_bounded,
-    depth_one_decomposition,
     gyo_join_tree,
     load_decomposition,
     parse_decomposition,
@@ -26,24 +24,20 @@ from .errors import (
     CyclicQueryError,
     DecompositionError,
     EngineInvariantError,
-    IncompatibleRankingError,
     IngestError,
     OracleCapError,
     ProbeCapError,
     QueryParseError,
     RankJoinError,
     SchemaError,
-    StructureError,
     WeightError,
 )
 from .oracle import brute_force_ranked
 from .preprocess import PreparedQuery, full_reducer, initialize_queues, materialize_bags, prepare
 from .query import Atom, ConjunctiveQuery, UnionQuery, parse_query
 from .ranking import (
-    CompatibilityReport,
     RankingFunction,
     ScoreModel,
-    check_compatible,
     check_ranking,
     direct_score,
     parse_ranking,

@@ -1,9 +1,8 @@
 """Command-line frontend: plan, topk, enumerate, bench, gen, oracle.
 
 Exit codes: 0 success (topk: output exhausted), 10 topk truncated (more
-results remain), 2 validation error, 3 incompatible ranking, 4 oracle cap
-exceeded, 141 stdout closed early (as a shell reports a process that SIGPIPE
-ended).
+results remain), 2 validation error, 4 oracle cap exceeded, 141 stdout
+closed early (as a shell reports a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -20,17 +19,11 @@ from typing import Dict, List, Optional, Tuple
 from .analysis import GENERATORS, analyze
 from .cursor import RankedCursor, buffers_ties, tie_lead
 from .data import Database, Table, load_csv, load_vertex_weights
-from .decomposition import (
-    TreeDecomposition,
-    augment_for_bounded,
-    gyo_join_tree,
-    load_decomposition,
-)
+from .decomposition import TreeDecomposition, gyo_join_tree, load_decomposition
 from .errors import (
     CyclicQueryError,
     DecompositionError,
     EngineInvariantError,
-    IncompatibleRankingError,
     IngestError,
     OracleCapError,
     RankJoinError,
@@ -39,13 +32,12 @@ from .errors import (
 from .oracle import brute_force_ranked
 from .preprocess import prepare
 from .query import UnionQuery, parse_query
-from .ranking import check_compatible, check_ranking, parse_ranking
+from .ranking import check_ranking, parse_ranking
 from .result import format_record
 from .union import UnionCursor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_INCOMPATIBLE = 3
 EXIT_ORACLE_CAP = 4
 EXIT_TRUNCATED = 10
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
@@ -152,7 +144,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     job = Job(args)
     uq = job.query()
     rf = parse_ranking(job.rank_spec) if job.rank_spec else None
-    bound = rf.bound_vars if rf is not None else frozenset()
     for i, cq in enumerate(uq.disjuncts):
         if len(uq.disjuncts) > 1:
             print(f"disjunct {i + 1}: {cq}")
@@ -161,9 +152,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if rf is not None:
             check_ranking(rf, cq)
         try:
-            decomp = job.decomposition(uq) or augment_for_bounded(
-                gyo_join_tree(cq), bound
-            )
+            decomp = job.decomposition(uq) or gyo_join_tree(cq)
         except CyclicQueryError as e:
             residue = ", ".join(str(a) for a in e.residue)
             print(
@@ -174,10 +163,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             return EXIT_VALIDATION
         print(f"width: {decomp.width}")
         _print_tree(decomp)
-        if rf is not None:
-            report = check_compatible(rf, decomp)
-            verdict = "compatible" if report.compatible else "INCOMPATIBLE"
-            print(f"ranking {rf.spec()}: {verdict} ({report.reason})")
         if rf is not None and buffers_ties(rf):
             lead = tie_lead(decomp)
             if lead == 1:
@@ -404,9 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except IncompatibleRankingError as e:
-        print(f"error: incompatible ranking: {e}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
     except OracleCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE_CAP

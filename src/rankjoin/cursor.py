@@ -34,11 +34,12 @@ the subtree valuation, unique within a node, so `heapq` orders entries in C by
 `counted_heap` instead, which makes the same comparisons and counts them, and
 records per-pull counter deltas in `pull_stats`.
 
-Under `tuple_max`/`vertex_max` the cursor buffers equal-score outputs and sorts
-them by value before emitting them (`buffers_ties`). A group is the outputs
-that share their score and their values of the longest head prefix that the
-root bag holds (`tie_lead`), not the whole score run. One fill pulls whole
-groups until it holds `TIE_BATCH` (8) outputs or more (fewer before the
+Under `tuple_max`/`vertex_max`, and `bounded(…)` over either, the cursor
+buffers equal-score outputs and sorts them by value before emitting them
+(`buffers_ties`). A group is the outputs that share their score and their
+values of the longest head prefix that the root bag holds (`tie_lead`), not
+the whole score run. One fill pulls whole groups until it holds
+`TIE_BATCH` (8) outputs or more (fewer before the
 cursor has emitted that many), so it takes at most 7 outputs more than its
 largest group. It sorts the consumed root entries themselves, in C: a root
 entry's tie is its output in head order, so (score, tie) is the output order,
@@ -135,9 +136,10 @@ def buffers_ties(rf: RankingFunction) -> bool:
     to a tie higher up, so no per-queue tie order alone can deliver
     equal-score outputs sorted by value. Scores still arrive nondecreasing, so
     sorting each equal-score group restores the total order. Sum/product keep
-    strict gaps strict and lex/bounded carry their ties consistently, so they
-    skip the buffer."""
-    return rf.op == "max" and rf.kind in ("tuple", "vertex")
+    strict gaps strict and lex carries its ties consistently, so they skip the
+    buffer. A bounded ranking is its inner fold over fewer terms, so
+    `bounded(*_max; …)` buffers as `*_max` does."""
+    return rf.op == "max"
 
 
 def tie_lead(d: TreeDecomposition) -> int:

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import CyclicQueryError, DecompositionError, StructureError
+from .errors import CyclicQueryError, DecompositionError
 from .query import Atom, ConjunctiveQuery, atom_components
 
 
@@ -299,42 +299,6 @@ def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition:
         for r in comp_roots:
             parents[r] = root
     return _build(q, bags, covers, parents, root)
-
-
-def depth_one_decomposition(q: ConjunctiveQuery) -> TreeDecomposition:
-    """Width-1, depth-1 decomposition: largest atom at the root, rest children.
-
-    Requires the query to be acyclic and to have no atom pair with two or more
-    private variables on each side; raises StructureError otherwise.
-    """
-    gyo_join_tree(q)  # acyclicity gate
-    pair = private_pair(q)
-    if pair:
-        raise StructureError(
-            f"atoms {pair[0]} and {pair[1]} each have two or more private variables"
-        )
-    root = _component_root(q, range(len(q.atoms)))
-    bags = {i: frozenset(a.variables) for i, a in enumerate(q.atoms)}
-    covers = {i: (i,) for i in range(len(q.atoms))}
-    parents: Dict[int, Optional[int]] = {
-        i: (root if i != root else None) for i in range(len(q.atoms))
-    }
-    return _build(q, bags, covers, parents, root)
-
-
-def augment_for_bounded(d: TreeDecomposition, s: FrozenSet[str]) -> TreeDecomposition:
-    """Add the variables `s` to every bag (coverage for bounded rankings)."""
-    s = frozenset(s)
-    if not s:
-        return d
-    unknown = s - d.query.variables
-    if unknown:
-        raise DecompositionError(f"augment: unknown variables {sorted(unknown)}")
-    bags = {nid: n.bag | s for nid, n in d.nodes.items()}
-    covers = {nid: min_edge_cover(bags[nid], d.query) for nid in bags}
-    parents = {nid: n.parent for nid, n in d.nodes.items()}
-    width = max(map(len, covers.values()))
-    return _build(d.query, bags, covers, parents, d.root, width)
 
 
 def parse_decomposition(text: str, q: ConjunctiveQuery) -> TreeDecomposition:

@@ -29,16 +29,8 @@ class DecompositionError(RankJoinError):
     """A decomposition violates coverage, running intersection or tree shape."""
 
 
-class StructureError(RankJoinError):
-    """A structural precondition (e.g. the depth-one condition) does not hold."""
-
-
 class WeightError(RankJoinError):
     """Weights violate a ranking requirement (e.g. non-positive under product)."""
-
-
-class IncompatibleRankingError(RankJoinError):
-    """Ranking function is not compatible with the chosen decomposition."""
 
 
 class OracleCapError(RankJoinError):

@@ -47,11 +47,7 @@ from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .data import Database, Relation, _gc_paused, row_getter, semijoin
-from .decomposition import (
-    TreeDecomposition,
-    augment_for_bounded,
-    gyo_join_tree,
-)
+from .decomposition import TreeDecomposition, gyo_join_tree
 from .errors import DecompositionError, EngineInvariantError
 from .query import ConjunctiveQuery
 from .ranking import RankingFunction, Row, ScoreModel, check_ranking
@@ -357,10 +353,11 @@ def prepare(
     """End-to-end preprocessing; builds a join tree when none is supplied."""
     d = decomposition
     if d is None:
-        # The job check (repeated by `ScoreModel`) comes first, so that an
-        # unknown bounded variable is refused as the oracle refuses it.
+        # The job check (repeated by `ScoreModel`) comes first, so that a job
+        # error is reported before an error of the join tree it would build:
+        # a cyclic query, or a tree too deep for the cursor.
         check_ranking(rf, query)
-        d = augment_for_bounded(gyo_join_tree(query), rf.bound_vars)
+        d = gyo_join_tree(query)
     # The cursor's walk recurses once per tree level; half the interpreter's
     # recursion limit is left to its callers.
     depth, limit = d.depth(), sys.getrecursionlimit() // 2

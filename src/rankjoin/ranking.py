@@ -5,9 +5,11 @@ per-node partial score, so the engine can order subtree valuations by the
 accumulated partial score alone. Lexicographic orders are realized as sparse
 position vectors (sorted tuples of ``(position, constant id)``) instead of a
 weighted-sum encoding, which sidesteps overflow when picking the positional
-weights. Bounded rankings charge the whole score at the root; after bag
-augmentation the determining variables sit inside every key, so all non-root
-partial scores are equal and any queue order there is sound.
+weights. A bounded ranking `bounded(inner; S)` is its inner tuple or vertex
+fold over only the terms inside S: the atoms whose variables all lie in S, or
+the values of S. A subset of a monoid fold is still a monoid fold, so it fits
+every decomposition as the other rankings do, and each node scores only its
+own terms inside S.
 
 `ScoreModel` compiles one scorer per decomposition node when it is built: a
 closure over the node's weight lookups and bag positions that scores a whole
@@ -30,12 +32,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Tuple,
 )
 
 from .data import INT64_MAX, INT64_MIN, Database, Relation, row_getter
 from .decomposition import TreeDecomposition
-from .errors import IncompatibleRankingError, ProbeCapError, SchemaError, WeightError
+from .errors import ProbeCapError, SchemaError, WeightError
 from .query import ConjunctiveQuery
 
 MAX_IDENTITY = float("-inf")
@@ -137,29 +140,11 @@ def parse_ranking(text: str) -> RankingFunction:
     raise SchemaError(f"unknown ranking spec {text!r}")
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    compatible: bool
-    reason: str = ""
-    failing_nodes: Tuple[int, ...] = ()
-
-
-def check_compatible(rf: RankingFunction, d: TreeDecomposition) -> CompatibilityReport:
-    """Monoid and lexicographic rankings work on any decomposition; a bounded
-    ranking needs its determining variables inside every bag."""
-    if rf.kind in ("tuple", "vertex", "lex"):
-        return CompatibilityReport(True, f"{rf.kind} rankings fit any decomposition")
-    failing = tuple(
-        nid for nid in sorted(d.nodes) if not rf.bound_vars <= d.nodes[nid].bag
-    )
-    if failing:
-        return CompatibilityReport(
-            False,
-            f"bounded ranking variables {sorted(rf.bound_vars)} missing from bags "
-            f"of nodes {list(failing)}; augment the decomposition first",
-            failing,
-        )
-    return CompatibilityReport(True, "determining variables contained in every bag")
+def _scored_variables(rf: RankingFunction, q: ConjunctiveQuery) -> AbstractSet[str]:
+    """The variables a monoid score reads: it folds the weights of the atoms
+    whose variables all lie in them, or their values. Under `bounded(…; S)`
+    that is S, else every variable."""
+    return rf.bound_vars if rf.kind == "bounded" else q.variables
 
 
 def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
@@ -200,7 +185,7 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
     # Only the weights a score reads: under bounded, those of the atoms
     # within the bound variables, or of the constants in their columns, as
     # `_bounded_value` reads them.
-    scored = rf.bound_vars if rf.kind == "bounded" else set(q.head)
+    scored = _scored_variables(rf, q)
     if (rf.inner_kind or rf.kind) == "tuple":
         read = {a.relation for a in q.atoms if set(a.variables) <= scored}
         for rel in relations.values():
@@ -279,10 +264,10 @@ def _bounded_value(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
 class ScoreModel:
     """Binds a ranking function to one query/decomposition/database.
 
-    At construction it checks the job (`check_ranking`, then
-    `check_compatible`) and compiles one scorer per node: a closure over that
-    node's weight lookups and bag positions, mapped over a sequence of bag
-    rows. `node_scores` and `node_score` are the entry points that run them."""
+    At construction it checks the job (`check_ranking`) and compiles one
+    scorer per node: a closure over that node's weight lookups and bag
+    positions, mapped over a sequence of bag rows. `node_scores` and
+    `node_score` are the entry points that run them."""
 
     def __init__(
         self,
@@ -298,35 +283,26 @@ class ScoreModel:
         self.identity = rf.monoid.identity
         self.combine = rf.monoid.combine
         check_ranking(rf, q, db)
-        report = check_compatible(rf, d)
-        if not report.compatible:
-            raise IncompatibleRankingError(report.reason)
         assigned: Dict[int, List[int]] = defaultdict(list)
         for ai, owner in d.atom_assignment.items():
             assigned[owner].append(ai)
         passed = d.pass_through()
         self._scorers = {
-            nid: self._compile(nid, node, assigned[nid], passed.get(nid))
+            nid: self._compile(node, assigned[nid], passed.get(nid))
             for nid, node in d.nodes.items()
         }
 
     def _compile(
-        self, nid: int, node, assigned: List[int], passed: Optional[int]
+        self, node, assigned: List[int], passed: Optional[int]
     ) -> Callable:
         """The node's own-score function over a sequence of its bag
         valuations and, for a whole pass-through bag, its weight column.
         Weight lookups, bag positions and the monoid are bound once here, so
         scoring runs no dispatch. `assigned` are the atoms assigned to the
-        node, and `passed` the atom whose relation the bag passes through."""
-        rf, d, db = self.rf, self.decomposition, self.db
+        node, and `passed` the atom whose relation the bag passes through.
+        Under `bounded(…; S)` the node keeps only its terms inside S."""
+        rf, db, atoms = self.rf, self.db, self.query.atoms
         order = {v: i for i, v in enumerate(node.var_order)}
-        if rf.kind == "tuple":
-            return self._fold([
-                _weight_lookup(db, self.query.atoms[ai], order, ai == passed)
-                for ai in assigned
-            ])
-        if rf.kind == "vertex":
-            return self._fold([_vertex_lookup(db, order[v]) for v in node.val_vars])
         if rf.kind == "lex":
             lex_pos = {v: i for i, v in enumerate(rf.lex_order)}
             pairs = sorted(
@@ -337,17 +313,16 @@ class ScoreModel:
             return lambda rows, column=None: map(
                 tuple, map(zip, repeat(ranks), map(values, rows))
             )
-        # bounded: full value at the root, identity elsewhere
-        if nid != d.root:
-            return self._fold([])
-        # The same terms, in the same order, as `_bounded_value`.
-        if rf.inner_kind == "tuple":
+        scored = _scored_variables(rf, self.query)
+        if (rf.inner_kind or rf.kind) == "tuple":
             return self._fold([
-                _weight_lookup(db, atom, order)
-                for atom in self.query.atoms
-                if set(atom.variables) <= rf.bound_vars
+                _weight_lookup(db, atoms[ai], order, ai == passed)
+                for ai in assigned
+                if scored.issuperset(atoms[ai].variables)
             ])
-        return self._fold([_vertex_lookup(db, order[v]) for v in sorted(rf.bound_vars)])
+        return self._fold([
+            _vertex_lookup(db, order[v]) for v in node.val_vars if v in scored
+        ])
 
     def _fold(self, terms: List[Term]) -> Callable:
         """Combine the terms' values left to right, per row. The fold starts

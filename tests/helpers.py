@@ -21,6 +21,7 @@ from rankjoin import (
     parse_ranking,
     prepare,
 )
+from rankjoin.decomposition import TreeDecomposition
 from rankjoin.query import ConjunctiveQuery
 
 RUNNING_QUERY = "Q(x,y,z,w,u) :- R1(x,y), R2(y,z), R3(z,w), R4(z,u)"
@@ -149,6 +150,34 @@ def random_instance(shape: str, seed: int):
         parse_decomposition(decomp_text, cq) if decomp_text else gyo_join_tree(cq)
     )
     return db, uq, decomp
+
+
+def rerooted(d: TreeDecomposition) -> List[TreeDecomposition]:
+    """`d` re-rooted at each of its nodes, in node order, each parsed from the
+    decomposition file that would give it (`parse_decomposition`)."""
+    q = d.query
+    neighbours = {
+        nid: list(n.children) + ([] if n.parent is None else [n.parent])
+        for nid, n in d.nodes.items()
+    }
+    lines = []
+    for nid, n in d.nodes.items():
+        cover = ",".join(q.atoms[ai].relation for ai in n.cover)
+        lines.append(f"node {nid}: {{{','.join(n.var_order)}}}"
+                     + (f" cover {cover}" if cover else ""))
+    trees = []
+    for root in d.nodes:
+        edges, stack, seen = [], [root], {root}
+        while stack:
+            parent = stack.pop()
+            for child in neighbours[parent]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+                    edges.append(f"edge {parent} {child}")
+        text = "\n".join(lines + [f"root {root}"] + edges) + "\n"
+        trees.append(parse_decomposition(text, q))
+    return trees
 
 
 def engine_lines(db, cq, rf, decomp=None) -> Tuple[List[str], RankedCursor]:

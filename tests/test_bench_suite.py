@@ -39,3 +39,17 @@ def test_measure_fails_on_a_job_bench_refuses(suite, threepath, capsys):
     with pytest.raises(RuntimeError, match="rankjoin bench exited 2"):
         suite.measure(str(threepath / "job.conf"))
     assert "bench supports single-disjunct queries only" in capsys.readouterr().err
+
+
+def test_bounded_input_runs_its_own_rank(suite, threepath):
+    """`bounded_threepath` is a `gen threepath` job whose rank spec is
+    replaced; its figures come from the bounded ranking's set-up."""
+    kind, n, rank = suite.GEN["bounded_threepath"]
+    assert (kind, rank) == ("threepath", "bounded(tuple_sum; x,y)")
+    conf = threepath / "job.conf"
+    suite.rerank(str(conf), rank)
+    lines = conf.read_text().splitlines()
+    assert f"rank={rank}" in lines
+    assert sum(line.startswith("rank=") for line in lines) == 1
+    figures = suite.measure(str(conf))
+    assert list(figures) == list(suite.FIGURES)

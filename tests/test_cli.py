@@ -65,11 +65,14 @@ def test_enumerate_matches_oracle(workspace, capsys):
 
 
 def test_plan_output(workspace, capsys):
+    """The tree, its width and the verdicts; every ranking fits every
+    decomposition, so no ranking line is printed."""
     assert main(["plan", *_base_args(workspace)]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert "width: 1" in out
-    assert "compatible" in out
+    assert "node 0: bag {x,y} key [] val [x,y] cover R1" in out
     assert "edge condition: ok" in out
+    assert not any(line.startswith("ranking ") for line in out)
 
 
 def test_plan_cyclic_suggests_decomp(workspace, capsys):
@@ -108,16 +111,25 @@ def test_negative_k_flag(workspace, capsys):
     assert "non-negative" in captured.err
 
 
-def test_incompatible_ranking_exit_code(workspace, tmp_path, capsys):
+def test_bounded_ranking_runs_on_a_decomposition_without_its_set(
+    workspace, tmp_path, capsys
+):
+    """A bounded ranking's set need not be in every bag: each node scores its
+    own terms inside the set, and the output is the oracle's."""
     decomp = tmp_path / "d.txt"
     decomp.write_text(
         "node 1: {x,y} cover R1\nnode 2: {y,z} cover R2\n"
         "node 3: {z,w} cover R3\nnode 4: {z,u} cover R4\n"
         "root 1\nedge 1 2\nedge 2 3\nedge 2 4\n"
     )
-    args = _base_args(workspace, "--decomp", str(decomp))
-    args[args.index("tuple_sum")] = "bounded(tuple_sum; w)"
-    assert main(["topk", *args, "-k", "1"]) == 3
+    for spec in ("bounded(tuple_sum; w)", "bounded(tuple_sum; z,w)"):
+        args = _base_args(workspace, "--decomp", str(decomp))
+        args[args.index("tuple_sum")] = spec
+        assert main(["enumerate", *args]) == 0
+        engine_out = capsys.readouterr().out
+        assert len(engine_out.splitlines()) == 8
+        assert main(["oracle", *args]) == 0
+        assert capsys.readouterr().out == engine_out, spec
 
 
 def test_validation_error_exit_code(workspace, capsys):
@@ -413,21 +425,39 @@ def test_plan_on_2000_arm_star(tmp_path, capsys):
         assert line in out
 
 
-def test_plan_of_an_augmented_decomposition(workspace, capsys):
-    """A bounded ranking's bags gain its variables; the covers and the width
-    that `plan` prints come from one cover search per bag."""
+PLAIN_RUNNING_TREE = [
+    f"query: {RUNNING_QUERY}",
+    "width: 1",
+    "node 0: bag {x,y} key [] val [x,y] cover R1",
+    "  node 1: bag {y,z} key [y] val [z] cover R2",
+    "    node 2: bag {z,w} key [z] val [w] cover R3",
+    "    node 3: bag {z,u} key [z] val [u] cover R4",
+]
+
+
+def test_plan_of_a_bounded_ranking(workspace, capsys):
+    """A bounded ranking runs on the plain join tree: its bags do not gain
+    its variables, and the width stays 1."""
     args = _base_args(workspace)
     args[args.index("tuple_sum")] = "bounded(tuple_sum; x,u)"
     assert main(["plan", *args]) == 0
-    assert capsys.readouterr().out.splitlines()[:7] == [
-        f"query: {RUNNING_QUERY}",
-        "width: 3",
-        "node 0: bag {x,y,u} key [] val [x,y,u] cover R1,R4",
-        "  node 1: bag {x,y,z,u} key [x,y,u] val [z] cover R1,R4",
-        "    node 2: bag {x,z,w,u} key [x,z,u] val [w] cover R1,R3,R4",
-        "    node 3: bag {x,z,u} key [x,z,u] val [] cover R1,R4",
-        "ranking bounded(tuple_sum; u,x): compatible (determining variables "
-        "contained in every bag)",
+    assert capsys.readouterr().out.splitlines()[:7] == PLAIN_RUNNING_TREE + [
+        "diameters: 3",
+    ]
+
+
+def test_plan_warns_of_ties_under_bounded_max(workspace, capsys):
+    """`bounded(*_max; …)` buffers tied outputs as `*_max` does, and `plan`
+    says so after the tree."""
+    args = _base_args(workspace)
+    args[args.index("tuple_sum")] = "bounded(tuple_max; x,u)"
+    assert main(["plan", *args]) == 0
+    assert capsys.readouterr().out.splitlines()[6:8] == [
+        "warning: under bounded(tuple_max; u,x), each group of outputs that "
+        "share a score and values of x,y is buffered and sorted before the "
+        "first of them is emitted, so the delay is unbounded when many "
+        "outputs tie",
+        "diameters: 3",
     ]
 
 

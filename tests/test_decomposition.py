@@ -1,22 +1,17 @@
 import random
-from collections import Counter
 
 import pytest
 
 from rankjoin import (
     CyclicQueryError,
     DecompositionError,
-    StructureError,
-    augment_for_bounded,
-    depth_one_decomposition,
     gyo_join_tree,
     parse_decomposition,
     parse_query,
 )
-from rankjoin import decomposition
 from rankjoin.decomposition import min_edge_cover, validate
 
-from helpers import long_path, star
+from helpers import long_path
 
 RUNNING = "Q(x,y,z,w,u) :- R1(x,y), R2(y,z), R3(z,w), R4(z,u)"
 TRIANGLE = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
@@ -134,66 +129,6 @@ class TestLoadFormat:
     def test_missing_root(self):
         with pytest.raises(DecompositionError, match="root"):
             parse_decomposition("node 1: {x,y} cover R\n", _cq("Q(x,y) :- R(x,y)"))
-
-
-class TestAugment:
-    def test_empty_set_identity(self):
-        d = gyo_join_tree(_cq(RUNNING))
-        assert augment_for_bounded(d, frozenset()) is d
-
-    def test_running_example_w(self):
-        d = augment_for_bounded(gyo_join_tree(_cq(RUNNING)), frozenset({"w"}))
-        bags = {nid: n.bag for nid, n in d.nodes.items()}
-        assert bags == {
-            0: {"x", "y", "w"},
-            1: {"y", "z", "w"},
-            2: {"z", "w"},
-            3: {"z", "u", "w"},
-        }
-        validate(d)
-
-    def test_unknown_variable(self):
-        d = gyo_join_tree(_cq(RUNNING))
-        with pytest.raises(DecompositionError):
-            augment_for_bounded(d, frozenset({"nope"}))
-
-    @pytest.mark.parametrize("query,s,width", [
-        (star(6), {"y0"}, 2),
-        (RUNNING, {"x", "u"}, 3),
-    ], ids=["star", "running"])
-    def test_one_cover_search_per_bag(self, monkeypatch, query, s, width):
-        """Each augmented bag's cover is searched for once; the width comes
-        from those covers, not from a second search."""
-        d = gyo_join_tree(_cq(query))
-        searched = Counter()
-
-        def counting(bag, q):
-            searched[bag] += 1
-            return min_edge_cover(bag, q)
-
-        monkeypatch.setattr(decomposition, "min_edge_cover", counting)
-        a = augment_for_bounded(d, frozenset(s))
-        assert searched == Counter(n.bag for n in a.nodes.values())
-        assert a.width == width
-
-
-class TestDepthOne:
-    def test_two_path(self):
-        d = depth_one_decomposition(_cq("Q(x,y,z) :- R(x,y), S(y,z)"))
-        assert d.depth() == 1
-        assert d.width == 1
-
-    def test_cartesian_fails(self):
-        with pytest.raises(StructureError):
-            depth_one_decomposition(_cq("Q(x1,y1,x2,y2) :- R(x1,y1), S(x2,y2)"))
-
-    def test_single_atom(self):
-        d = depth_one_decomposition(_cq("Q(x) :- R(x)"))
-        assert d.depth() == 0
-
-    def test_wide_root(self):
-        d = depth_one_decomposition(_cq("Q(x,y,z,w) :- R(x,y,z), S(z,w)"))
-        assert d.nodes[d.root].bag == {"x", "y", "z"}
 
 
 def test_min_edge_cover_exact():

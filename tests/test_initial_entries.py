@@ -11,7 +11,6 @@ from rankjoin import (
     EngineInvariantError,
     Relation,
     Table,
-    augment_for_bounded,
     gyo_join_tree,
     parse_query,
     parse_ranking,
@@ -55,8 +54,6 @@ def test_initial_entries_match_new_cell(shape, spec, seed):
     rf = parse_ranking(spec)
     if rf.op == "product":
         db = _positive(db)
-    if rf.kind == "bounded":
-        d = augment_for_bounded(d, rf.bound_vars)
     p = prepare(db, cq, rf, d)
     reduced = full_reducer(materialize_bags(db, d), d)
     model = p.model

@@ -8,7 +8,6 @@ from rankjoin import (
     SchemaError,
     Table,
     WeightError,
-    augment_for_bounded,
     brute_force_ranked,
     check_ranking,
     gyo_join_tree,
@@ -127,9 +126,8 @@ def test_bounded_product_ignores_a_weight_no_score_reads(running, command):
 
 
 def test_unknown_bounded_variable_under_decomp_is_a_validation_error(running):
-    """Before the compatibility check: `q` is in no bag because it is no
-    variable, which is a validation error (exit 2), not an incompatible
-    decomposition (exit 3)."""
+    """With an explicit decomposition too, `q` is refused by the job check,
+    since it is no head variable: a validation error (exit 2)."""
     code, err = running(
         "enumerate", "bounded(tuple_sum; q)", "--decomp", running.decomp
     )
@@ -183,7 +181,7 @@ def test_engine_oracle_and_plan_agree(spec, db_name):
     uq = parse_query(RUNNING_QUERY)
     cq = uq.disjuncts[0]
     rf = parse_ranking(spec)
-    d = augment_for_bounded(gyo_join_tree(cq), rf.bound_vars & cq.variables)
+    d = gyo_join_tree(cq)
     engine = _outcome(lambda: prepare(db, cq, rf, d))
     assert engine == _outcome(lambda: prepare(db, cq, rf))
     assert engine == _outcome(lambda: brute_force_ranked(db, uq, rf))

@@ -8,13 +8,16 @@ from rankjoin import (
     ScoreModel,
     Table,
     WeightError,
-    check_compatible,
+    brute_force_ranked,
     gyo_join_tree,
+    materialize_bags,
     parse_query,
     parse_ranking,
     probe_decomposable,
 )
 from rankjoin.ranking import MONOIDS, MAX_IDENTITY
+
+from helpers import rerooted
 
 ints = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 small_pos = st.integers(min_value=1, max_value=10**6)
@@ -101,25 +104,53 @@ class TestMonoidLaws:
         assert MAX_IDENTITY < -(2**63)
 
 
+PATH = "Q(x,y,z) :- R(x,y), S(y,z)"
+
+
+def _path_db():
+    return Database.build([
+        Table.from_rows("R", ("x", "y"), [("1", "2")], weights=[3]),
+        Table.from_rows("S", ("y", "z"), [("2", "4")], weights=[5]),
+    ], {"1": 10, "2": 20, "4": 40})
+
+
+def _scores_per_rooting(spec):
+    """The one output's score on the path's join tree rooted at each node,
+    combined from the node scores, and the oracle's score of it."""
+    uq = parse_query(PATH)
+    cq, db, rf = uq.disjuncts[0], _path_db(), parse_ranking(spec)
+    scores = []
+    for d in rerooted(gyo_join_tree(cq)):
+        model = ScoreModel(rf, db, cq, d)
+        bags = materialize_bags(db, d)
+        score = model.identity
+        for nid in d.nodes:
+            (own,) = model.node_scores(nid, bags[nid])
+            score = model.combine(score, own)
+        scores.append(score)
+    (output,) = brute_force_ranked(db, uq, rf)
+    return scores, output.score
+
+
 class TestCompatibility:
-    def _decomp(self):
-        cq = parse_query("Q(x,y,z) :- R(x,y), S(y,z)").disjuncts[0]
-        return cq, gyo_join_tree(cq)
+    """A ranking fits every decomposition, but not every job: `ScoreModel`
+    refuses weights or a head that its ranking cannot score."""
 
     def test_monoid_always_compatible(self):
-        _, d = self._decomp()
-        assert check_compatible(parse_ranking("tuple_sum"), d).compatible
-        assert check_compatible(parse_ranking("vertex_max"), d).compatible
+        for spec in ("tuple_sum", "vertex_max"):
+            scores, want = _scores_per_rooting(spec)
+            assert scores == [want, want], spec
 
     def test_lex_always_compatible(self):
-        _, d = self._decomp()
-        assert check_compatible(parse_ranking("lex(z,x,y)"), d).compatible
+        scores, want = _scores_per_rooting("lex(z,x,y)")
+        assert scores == [want, want]
 
-    def test_bounded_needs_containment(self):
-        _, d = self._decomp()
-        report = check_compatible(parse_ranking("bounded(vertex_sum; z)"), d)
-        assert not report.compatible
-        assert report.failing_nodes == (0,)  # the {x,y} root bag lacks z
+    def test_bounded_fits_a_tree_without_its_set(self):
+        """Rooted at the {x,y} bag, the root lacks z, and the {y,z} child
+        lacks x: each node scores only its own terms inside the set."""
+        for spec, want in (("bounded(vertex_sum; z)", 40),
+                           ("bounded(tuple_max; x,y)", 3)):
+            assert _scores_per_rooting(spec) == ([want, want], want), spec
 
     def test_product_requires_positive_weights(self):
         cq = parse_query("Q(x,y) :- R(x,y)").disjuncts[0]
@@ -133,6 +164,27 @@ class TestCompatibility:
         db = Database.build([Table.from_rows("R", ("x", "y"), [("1", "2")])])
         with pytest.raises(SchemaError, match="every head variable"):
             ScoreModel(parse_ranking("lex(x)"), db, cq, gyo_join_tree(cq))
+
+
+@pytest.mark.parametrize("spec, root, child", [
+    ("bounded(tuple_sum; y,z)", 0, 5),
+    ("bounded(tuple_sum; x,y,z)", 3, 5),
+    ("bounded(tuple_product; x)", 1, 1),
+    ("bounded(vertex_sum; x,z)", 10, 40),
+    ("bounded(vertex_max; y)", 20, MAX_IDENTITY),
+])
+def test_bounded_node_scores_keep_their_terms_inside_the_set(spec, root, child):
+    """Each node of the plain join tree scores only its own terms inside the
+    set: its assigned atoms whose variables all lie in it, or its values of
+    it. A node with none scores the identity."""
+    cq, db = parse_query(PATH).disjuncts[0], _path_db()
+    d = gyo_join_tree(cq)
+    assert [n.val_vars for n in d.nodes.values()] == [("x", "y"), ("z",)]
+    model = ScoreModel(parse_ranking(spec), db, cq, d)
+    bags = materialize_bags(db, d)
+    assert [list(model.node_scores(nid, bags[nid])) for nid in d.nodes] == [
+        [root], [child],
+    ]
 
 
 class TestProbe:

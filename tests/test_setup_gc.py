@@ -18,12 +18,12 @@ import pytest
 from rankjoin import (
     Database,
     DecompositionError,
-    IncompatibleRankingError,
     IngestError,
     RankedCursor,
     SchemaError,
     Table,
     UnionCursor,
+    WeightError,
     load_csv,
     load_vertex_weights,
     parse_decomposition,
@@ -56,9 +56,10 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _path_db():
+def _path_db(r_weight=2):
     return Database.build([
-        Table.from_rows("R", ("x", "y"), [("1", "2"), ("2", "2")], weights=[1, 2]),
+        Table.from_rows("R", ("x", "y"), [("1", "2"), ("2", "2")],
+                        weights=[1, r_weight]),
         Table.from_rows("S", ("y", "z"), [("2", "3")], weights=[4]),
     ])
 
@@ -71,10 +72,6 @@ def _calls(tmp_path):
     vw_bad = _write(tmp_path, "vw_bad.csv", "1,5\n2,x\n")
     deep_query, deep_decomp = long_path(sys.getrecursionlimit() // 2 + 2)
     deep_cq = parse_query(deep_query).disjuncts[0]
-    root_lacks_z = parse_decomposition(
-        "node 0: {x,y} cover R\nnode 1: {y,z} cover S\nroot 0\nedge 0 1\n",
-        PATH_QUERY,
-    )
     return [
         ("load_csv, bad weight",
          lambda: load_csv(good, "R", weight_column="w"),
@@ -93,11 +90,10 @@ def _calls(tmp_path):
          lambda: prepare(Database.build([]), deep_cq, parse_ranking("tuple_sum"),
                          parse_decomposition(deep_decomp, deep_cq)),
          DecompositionError),
-        ("prepare, incompatible",
-         lambda: prepare(_path_db(), PATH_QUERY, parse_ranking("tuple_sum")),
-         lambda: prepare(_path_db(), PATH_QUERY,
-                         parse_ranking("bounded(tuple_sum; z)"), root_lacks_z),
-         IncompatibleRankingError),
+        ("prepare, non-positive product weight",
+         lambda: prepare(_path_db(), PATH_QUERY, parse_ranking("tuple_product")),
+         lambda: prepare(_path_db(0), PATH_QUERY, parse_ranking("tuple_product")),
+         WeightError),
     ]
 
 

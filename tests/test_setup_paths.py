@@ -12,7 +12,6 @@ from rankjoin import (
     RankedCursor,
     Table,
     WeightError,
-    augment_for_bounded,
     brute_force_ranked,
     full_reducer,
     gyo_join_tree,
@@ -89,8 +88,6 @@ def test_setup_matches_oracle(name, spec, seed):
     db, uq, d = _instance(name, seed)
     cq = uq.disjuncts[0]
     rf = parse_ranking(spec)
-    if rf.kind == "bounded":
-        d = augment_for_bounded(d, rf.bound_vars)
     # Every reduced bag holds exactly the bag's projections of the outputs,
     # computed from the oracle alone.
     outputs = [t.values for t in brute_force_ranked(db, uq, rf)]

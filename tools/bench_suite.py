@@ -11,7 +11,9 @@ temporary directory by the checkout that holds this script:
   (imported, not changed);
 - `fanout_blank_line`: the same files with one blank line halfway through
   R, which `load_csv` splits with `csv.reader` instead of `str` methods;
-- `threepath`, `diameter4`, `antichain`: `rankjoin gen` instances.
+- `threepath`, `diameter4`, `antichain`: `rankjoin gen` instances;
+- `bounded_threepath`: a smaller `gen threepath` instance ranked by
+  `bounded(tuple_sum; x,y)`, for the set-up of a bounded ranking.
 
 A measurement is one fresh interpreter per checkout and input. It runs the
 checkout's `rankjoin bench -k 0` in process and reads the set-up seconds it
@@ -39,9 +41,14 @@ import tempfile
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# `rankjoin gen` instances: kind -> n, sized so that set-up takes a tenth of a
-# second or more.
-GEN_SIZES = {"threepath": 50_000, "diameter4": 25_000, "antichain": 50_000}
+# `rankjoin gen` instances: name -> (kind, n, the rank spec that replaces the
+# generator's, or None). The generators' own are sized so that set-up takes a
+# tenth of a second or more; `bounded_threepath` is sized so that a set-up
+# that adds the bound variables to every bag (a million rows) still runs.
+GEN = {"threepath": ("threepath", 50_000, None),
+       "diameter4": ("diameter4", 25_000, None),
+       "antichain": ("antichain", 50_000, None),
+       "bounded_threepath": ("threepath", 1_000, "bounded(tuple_sum; x,y)")}
 BLANK_LINE = "fanout_blank_line"
 # Each timing figure and the `rankjoin bench` line it is read from.
 PHASES = {"load_s": "load_seconds", "build_s": "encode_seconds",
@@ -66,12 +73,23 @@ def write_inputs(work: str) -> dict:
     lines.insert(len(lines) // 2, "\r\n")
     with open(r_path, "w", newline="") as fh:
         fh.writelines(lines)
-    for kind, n in GEN_SIZES.items():
-        out = os.path.join(work, kind)
+    for name, (kind, n, rank) in GEN.items():
+        out = os.path.join(work, name)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["gen", kind, "--n", str(n), "--out", out])
-        confs[kind] = os.path.join(out, "job.conf")
+        confs[name] = os.path.join(out, "job.conf")
+        if rank is not None:
+            rerank(confs[name], rank)
     return confs
+
+
+def rerank(conf: str, rank: str) -> None:
+    """Replace the rank spec of the job file `conf` with `rank`."""
+    with open(conf) as fh:
+        lines = fh.read().splitlines()
+    with open(conf, "w") as fh:
+        fh.writelines(f"rank={rank}\n" if line.startswith("rank=") else f"{line}\n"
+                      for line in lines)
 
 
 def measure(conf: str) -> dict:
@@ -148,7 +166,9 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "inputs": {"fanout_topk": "perfbench/workloads.py seed 1 scale 1",
                    BLANK_LINE: "fanout_topk with one blank line halfway through R",
-                   **{k: f"rankjoin gen {k} --n {n}" for k, n in GEN_SIZES.items()}},
+                   **{name: f"rankjoin gen {kind} --n {n}"
+                      + (f", rank {rank}" if rank else "")
+                      for name, (kind, n, rank) in GEN.items()}},
         "units": {f: "MB" if f.endswith("_mb") else "s" for f in FIGURES},
         "results": {
             label: {name: {f: summary(v) for f, v in per.items()}
