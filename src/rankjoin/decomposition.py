@@ -154,7 +154,7 @@ def _build(
         unreachable = sorted(set(bags) - set(subtree))
         raise DecompositionError(f"nodes {unreachable} not reachable from the root")
 
-    order_index = {v: i for i, v in enumerate(q.head)}
+    order_index = q.head_index
     nodes: Dict[int, DecompNode] = {}
     for nid, bag in bags.items():
         unknown = bag.difference(order_index)

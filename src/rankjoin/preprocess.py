@@ -92,7 +92,7 @@ class NodeState:
 def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
     node = d.nodes[nid]
     order = {v: i for i, v in enumerate(node.var_order)}
-    head_pos = {v: i for i, v in enumerate(d.query.head)}
+    head_pos = d.query.head_index
     # Where each subtree variable first occurs in the bag valuation followed
     # by the child ties, each a child subtree valuation in head order.
     layout = list(node.var_order)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .errors import QueryParseError
 
@@ -39,9 +39,15 @@ class ConjunctiveQuery:
     head: Tuple[str, ...]
     atoms: Tuple[Atom, ...]
 
-    @property
-    def variables(self) -> Set[str]:
-        return {v for a in self.atoms for v in a.variables}
+    @cached_property
+    def variables(self) -> FrozenSet[str]:
+        """The body variables; built once per query."""
+        return frozenset(v for a in self.atoms for v in a.variables)
+
+    @cached_property
+    def head_index(self) -> Dict[str, int]:
+        """Each head variable's position in the head; built once per query."""
+        return {v: i for i, v in enumerate(self.head)}
 
     @cached_property
     def occurrences(self) -> Dict[str, Tuple[int, ...]]:

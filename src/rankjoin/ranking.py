@@ -1,12 +1,14 @@
 """Ranking functions and per-node scoring.
 
-Four built-in families share one contract: a commutative-monoid combine plus a
+Three built-in kinds share one contract: a commutative-monoid combine plus a
 per-node partial score, so the engine can order subtree valuations by the
-accumulated partial score alone. Lexicographic orders are realized as sparse
-position vectors (sorted tuples of ``(position, constant id)``) instead of a
-weighted-sum encoding, which sidesteps overflow when picking the positional
-weights. A bounded ranking `bounded(inner; S)` is its inner tuple or vertex
-fold over only the terms inside S: the atoms whose variables all lie in S, or
+accumulated partial score alone. A tuple ranking folds the weights of the
+atoms' tuples, a vertex ranking the weights of the output's values.
+Lexicographic orders are realized as sparse position vectors (sorted tuples of
+``(position, constant id)``) instead of a weighted-sum encoding, which
+sidesteps overflow when picking the positional weights. A bounded ranking
+`bounded(inner; S)` is its inner tuple or vertex ranking with a term mask, S:
+it folds only the terms inside S, the atoms whose variables all lie in S or
 the values of S. A subset of a monoid fold is still a monoid fold, so it fits
 every decomposition as the other rankings do, and each node scores only its
 own terms inside S.
@@ -62,7 +64,6 @@ def _combine_product(a, b):
 
 @dataclass(frozen=True)
 class Monoid:
-    name: str
     identity: object
     combine: Callable = field(compare=False)
 
@@ -70,36 +71,36 @@ class Monoid:
 MONOIDS = {
     # `operator.add` runs in C; the builtin `max` parses varargs, so on two
     # arguments it is several times slower than `_combine_max`.
-    "sum": Monoid("sum", 0, operator.add),
-    "max": Monoid("max", MAX_IDENTITY, _combine_max),
-    "product": Monoid("product", 1, _combine_product),
+    "sum": Monoid(0, operator.add),
+    "max": Monoid(MAX_IDENTITY, _combine_max),
+    "product": Monoid(1, _combine_product),
 }
 
 
 @dataclass(frozen=True)
 class RankingFunction:
-    """kind ∈ {tuple, vertex, lex, bounded}; op names the monoid for the
-    monoid kinds and for the inner function of a bounded ranking."""
+    """kind ∈ {tuple, vertex, lex}; op names the monoid of a tuple or vertex
+    ranking. `bound_vars` is the term mask of `bounded(kind_op; S)`: the
+    score folds only the terms inside S. None means every term."""
 
     kind: str
     op: Optional[str] = None
     lex_order: Tuple[str, ...] = ()
-    inner_kind: Optional[str] = None
-    bound_vars: FrozenSet[str] = frozenset()
+    bound_vars: Optional[FrozenSet[str]] = None
 
     @property
     def monoid(self) -> Monoid:
         if self.kind == "lex":
-            return Monoid("lex", (), _merge_sorted)
+            return Monoid((), _merge_sorted)
         return MONOIDS[self.op]
 
     def spec(self) -> str:
-        if self.kind in ("tuple", "vertex"):
-            return f"{self.kind}_{self.op}"
         if self.kind == "lex":
             return f"lex({','.join(self.lex_order)})"
-        inner = f"{self.inner_kind}_{self.op}"
-        return f"bounded({inner}; {','.join(sorted(self.bound_vars))})"
+        spec = f"{self.kind}_{self.op}"
+        if self.bound_vars is None:
+            return spec
+        return f"bounded({spec}; {','.join(sorted(self.bound_vars))})"
 
 
 def _merge_sorted(a: Tuple, b: Tuple) -> Tuple:
@@ -123,28 +124,30 @@ def parse_ranking(text: str) -> RankingFunction:
         return RankingFunction(kind="lex", lex_order=order)
     m = _BOUNDED_RE.match(text)
     if m:
-        inner = m.group(1)
-        if "_" not in inner:
-            raise SchemaError(f"bad inner ranking {inner!r}")
-        ikind, _, iop = inner.partition("_")
-        if ikind not in ("tuple", "vertex") or iop not in MONOIDS:
-            raise SchemaError(f"bad inner ranking {inner!r}")
+        inner = _parse_monoid(m.group(1))
+        if inner is None:
+            raise SchemaError(f"bad inner ranking {m.group(1)!r}")
         svars = frozenset(v.strip() for v in m.group(2).split(",") if v.strip())
         if not svars:
             raise SchemaError("bounded ranking needs at least one variable")
-        return RankingFunction(kind="bounded", op=iop, inner_kind=ikind, bound_vars=svars)
-    if "_" in text:
-        kind, _, op = text.partition("_")
-        if kind in ("tuple", "vertex") and op in MONOIDS:
-            return RankingFunction(kind=kind, op=op)
-    raise SchemaError(f"unknown ranking spec {text!r}")
+        return RankingFunction(*inner, bound_vars=svars)
+    plain = _parse_monoid(text)
+    if plain is None:
+        raise SchemaError(f"unknown ranking spec {text!r}")
+    return RankingFunction(*plain)
+
+
+def _parse_monoid(text: str) -> Optional[Tuple[str, str]]:
+    """`(kind, op)` of a tuple or vertex spec such as tuple_sum, else None."""
+    kind, _, op = text.partition("_")
+    return (kind, op) if kind in ("tuple", "vertex") and op in MONOIDS else None
 
 
 def _scored_variables(rf: RankingFunction, q: ConjunctiveQuery) -> AbstractSet[str]:
     """The variables a monoid score reads: it folds the weights of the atoms
     whose variables all lie in them, or their values. Under `bounded(…; S)`
     that is S, else every variable."""
-    return rf.bound_vars if rf.kind == "bounded" else q.variables
+    return q.variables if rf.bound_vars is None else rf.bound_vars
 
 
 def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
@@ -164,7 +167,7 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
             raise SchemaError(
                 f"lex order must list every head variable; missing {sorted(missing)}"
             )
-    if rf.kind == "bounded":
+    if rf.bound_vars is not None:
         extra = rf.bound_vars - set(q.head)
         if extra:
             raise SchemaError(
@@ -184,9 +187,9 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
         return
     # Only the weights a score reads: under bounded, those of the atoms
     # within the bound variables, or of the constants in their columns, as
-    # `_bounded_value` reads them.
+    # `direct_score` reads them.
     scored = _scored_variables(rf, q)
-    if (rf.inner_kind or rf.kind) == "tuple":
+    if rf.kind == "tuple":
         read = {a.relation for a in q.atoms if set(a.variables) <= scored}
         for rel in relations.values():
             if rel.name not in read:
@@ -223,41 +226,23 @@ def check_ranking(rf: RankingFunction, q: ConjunctiveQuery,
 
 def direct_score(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
                  valuation: Dict[str, int]):
-    """Score a full valuation straight from the definition (no decomposition)."""
-    if rf.kind == "tuple":
-        monoid = rf.monoid
-        acc = monoid.identity
-        for atom in q.atoms:
-            rel = db.relation(atom.relation)
-            row = tuple(valuation[v] for v in atom.variables)
-            acc = monoid.combine(acc, rel.weight_of(row))
-        return acc
-    if rf.kind == "vertex":
-        monoid = rf.monoid
-        acc = monoid.identity
-        for v in q.head:
-            acc = monoid.combine(acc, db.vertex_weight(valuation[v]))
-        return acc
+    """Score a full valuation straight from the definition (no decomposition):
+    a tuple or vertex ranking folds its terms inside `_scored_variables`."""
     if rf.kind == "lex":
         return tuple((i, valuation[v]) for i, v in enumerate(rf.lex_order))
-    if rf.kind == "bounded":
-        return _bounded_value(rf, db, q, valuation)
-    raise SchemaError(f"unknown ranking kind {rf.kind!r}")
-
-
-def _bounded_value(rf: RankingFunction, db: Database, q: ConjunctiveQuery,
-                   valuation: Dict[str, int]):
-    monoid = MONOIDS[rf.op]
+    scored = _scored_variables(rf, q)
+    monoid = rf.monoid
     acc = monoid.identity
-    if rf.inner_kind == "tuple":
+    if rf.kind == "tuple":
         for atom in q.atoms:
-            if set(atom.variables) <= rf.bound_vars:
+            if scored.issuperset(atom.variables):
                 rel = db.relation(atom.relation)
                 row = tuple(valuation[v] for v in atom.variables)
                 acc = monoid.combine(acc, rel.weight_of(row))
     else:
-        for v in sorted(rf.bound_vars):
-            acc = monoid.combine(acc, db.vertex_weight(valuation[v]))
+        for v in q.head:
+            if v in scored:
+                acc = monoid.combine(acc, db.vertex_weight(valuation[v]))
     return acc
 
 
@@ -314,7 +299,7 @@ class ScoreModel:
                 tuple, map(zip, repeat(ranks), map(values, rows))
             )
         scored = _scored_variables(rf, self.query)
-        if (rf.inner_kind or rf.kind) == "tuple":
+        if rf.kind == "tuple":
             return self._fold([
                 _weight_lookup(db, atoms[ai], order, ai == passed)
                 for ai in assigned

@@ -37,7 +37,7 @@ def compare_key(t: OutputTuple):
 def scores_by_values(rf: RankingFunction) -> bool:
     """Whether `rf` scores an output by its values alone, so every disjunct
     that derives it gives it the same score."""
-    return rf.kind in ("vertex", "lex") or rf.inner_kind == "vertex"
+    return rf.kind != "tuple"
 
 
 class UnionCursor(Cursor):

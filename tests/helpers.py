@@ -51,11 +51,16 @@ SHAPES = {
 }
 
 RANK_SPECS = {
-    "2path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(z,x,y)", "vertex_max"],
-    "3path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(u,y,x,z)", "vertex_max"],
-    "4path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(v,z,y,x,u)", "vertex_max"],
-    "star": ["tuple_sum", "tuple_max", "vertex_sum", "lex(u,x,z,y)", "vertex_max"],
-    "triangle": ["tuple_sum", "tuple_max", "vertex_sum", "lex(y,z,x)", "vertex_max"],
+    "2path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(z,x,y)", "vertex_max",
+              "bounded(tuple_max; x,y)"],
+    "3path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(u,y,x,z)", "vertex_max",
+              "bounded(vertex_sum; y,z)"],
+    "4path": ["tuple_sum", "tuple_max", "vertex_sum", "lex(v,z,y,x,u)", "vertex_max",
+              "bounded(tuple_sum; y,z,u)"],
+    "star": ["tuple_sum", "tuple_max", "vertex_sum", "lex(u,x,z,y)", "vertex_max",
+             "bounded(vertex_max; x,u)"],
+    "triangle": ["tuple_sum", "tuple_max", "vertex_sum", "lex(y,z,x)", "vertex_max",
+                 "bounded(tuple_max; y,z)"],
 }
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Tolerances are pinned in the assertions below; the randomized corpus is
-seeded, so every run checks the same `CORPUS_SIZE` (625) instances.
+seeded, so every run checks the same `CORPUS_SIZE` (750) instances.
 """
 
 import functools
@@ -45,7 +45,7 @@ from helpers import (
 )
 
 SEEDS_PER_CELL = 25
-# Every shape under every one of its rankings: 5 shapes x 5 rankings x 25 seeds.
+# Every shape under every one of its rankings: 5 shapes x 6 rankings x 25 seeds.
 CORPUS_SIZE = SEEDS_PER_CELL * sum(len(RANK_SPECS[s]) for s in SHAPES)
 
 
@@ -134,7 +134,7 @@ def test_criterion_1_running_example():
 @criterion(2, f"oracle equivalence on {CORPUS_SIZE} randomized instances, zero tolerance")
 def test_criterion_2_oracle_equivalence():
     records, elapsed = corpus()
-    assert len(records) == CORPUS_SIZE == 625
+    assert len(records) == CORPUS_SIZE == 750
     mismatches = [r for r in records if not r["match"]]
     assert mismatches == []
     assert elapsed < 120.0

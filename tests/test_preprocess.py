@@ -13,9 +13,10 @@ from rankjoin import (
     prepare,
 )
 from rankjoin.preprocess import full_reducer, materialize_bags
+from rankjoin.query import ConjunctiveQuery
 
 from helpers import (
-    RUNNING_QUERY, encode, random_instance, rank_for, running_example,
+    RUNNING_QUERY, encode, random_instance, rank_for, running_example, star,
 )
 
 
@@ -167,3 +168,33 @@ class TestQueueTopMinimal:
         RankedCursor(p)
         with pytest.raises(EngineInvariantError):
             RankedCursor(p)
+
+
+class _Walked(tuple):
+    """A tuple that counts how often it is walked from the start."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("spec", ["tuple_sum", "vertex_max"])
+def test_set_up_walks_the_query_a_fixed_number_of_times(spec):
+    """`prepare` on a star walks the query's atoms and head as often with 40
+    arms as with 10: the variable set and the head index are built once per
+    query, not once per node, which made set-up quadratic in the atom count."""
+
+    def walks(arms):
+        cq = parse_query(star(arms)).disjuncts[0]
+        atoms, head = _Walked(cq.atoms), _Walked(cq.head)
+        db = Database.build([
+            Table.from_rows(a.relation, a.variables, [("1", "2")], weights=[1])
+            for a in cq.atoms
+        ])
+        p = prepare(db, ConjunctiveQuery(cq.name, head, atoms), parse_ranking(spec))
+        assert len(RankedCursor(p).drain()) == 1
+        return atoms.walks, head.walks
+
+    assert walks(10) == walks(40)

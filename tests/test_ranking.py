@@ -43,9 +43,11 @@ class TestParse:
 
     def test_bounded(self):
         rf = parse_ranking("bounded(tuple_sum; x,y)")
-        assert rf.kind == "bounded"
-        assert rf.inner_kind == "tuple" and rf.op == "sum"
+        assert rf.kind == "tuple" and rf.op == "sum"
         assert rf.bound_vars == {"x", "y"}
+        rf = parse_ranking("bounded(vertex_max; y)")
+        assert (rf.kind, rf.op, rf.bound_vars) == ("vertex", "max", {"y"})
+        assert parse_ranking("vertex_max").bound_vars is None
 
     def test_garbage(self):
         with pytest.raises(SchemaError):
@@ -73,28 +75,28 @@ class TestParse:
 
 
 class TestMonoidLaws:
+    """Every op is associative, commutative and monotone, with its identity
+    neutral; product over the strictly positive weights it accepts. The
+    `@given` tests are static methods: Hypothesis refuses (as differing
+    executors) a method that pytest calls on one instance per parameter."""
+
+    @staticmethod
     @pytest.mark.parametrize("op", ["sum", "max"])
     @given(a=ints, b=ints, c=ints)
-    def test_assoc_comm_identity(self, op, a, b, c):
-        m = MONOIDS[op]
-        f = m.combine
-        assert f(f(a, b), c) == f(a, f(b, c))
-        assert f(a, b) == f(b, a)
-        assert f(a, m.identity) == a
+    def test_assoc_comm_identity(op, a, b, c):
+        _check_laws(MONOIDS[op], a, b, c)
 
+    @staticmethod
     @given(a=small_pos, b=small_pos, c=small_pos)
-    def test_product_laws(self, a, b, c):
-        m = MONOIDS["product"]
-        f = m.combine
-        assert f(f(a, b), c) == f(a, f(b, c))
-        assert f(a, m.identity) == a
+    def test_product_laws(a, b, c):
+        _check_laws(MONOIDS["product"], a, b, c)
+        _check_monotone(MONOIDS["product"], a, b, c)
 
+    @staticmethod
     @pytest.mark.parametrize("op", ["sum", "max"])
     @given(a=ints, b=ints, c=ints)
-    def test_monotone(self, op, a, b, c):
-        f = MONOIDS[op].combine
-        lo, hi = sorted((a, b))
-        assert f(hi, c) >= f(lo, c)
+    def test_monotone(op, a, b, c):
+        _check_monotone(MONOIDS[op], a, b, c)
 
     def test_product_overflow_checked(self):
         with pytest.raises(WeightError):
@@ -102,6 +104,18 @@ class TestMonoidLaws:
 
     def test_max_identity_below_everything(self):
         assert MAX_IDENTITY < -(2**63)
+
+
+def _check_laws(m, a, b, c):
+    f = m.combine
+    assert f(f(a, b), c) == f(a, f(b, c))
+    assert f(a, b) == f(b, a)
+    assert f(a, m.identity) == a
+
+
+def _check_monotone(m, a, b, c):
+    lo, hi = sorted((a, b))
+    assert m.combine(hi, c) >= m.combine(lo, c)
 
 
 PATH = "Q(x,y,z) :- R(x,y), S(y,z)"
