@@ -144,6 +144,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     job = Job(args)
     uq = job.query()
     rf = parse_ranking(job.rank_spec) if job.rank_spec else None
+    # Loaded before anything is printed: a union refuses `--decomp`.
+    given = job.decomposition(uq)
     for i, cq in enumerate(uq.disjuncts):
         if len(uq.disjuncts) > 1:
             print(f"disjunct {i + 1}: {cq}")
@@ -152,7 +154,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if rf is not None:
             check_ranking(rf, cq)
         try:
-            decomp = job.decomposition(uq) or gyo_join_tree(cq)
+            decomp = given or gyo_join_tree(cq)
         except CyclicQueryError as e:
             residue = ", ".join(str(a) for a in e.residue)
             print(

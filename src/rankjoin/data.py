@@ -18,8 +18,11 @@ plain `str` order, which equals UTF-8 byte order for every encodable string. A
 domain holding a literal past the interpreter's digit limit for `int` is
 sorted by the same order computed from the digits (`_int_order`).
 
-Row work is done by getters compiled once per projection (`row_getter`) and
-mapped over the rows, never by a per-row generator.
+Row work is done by getters compiled once per projection and mapped over the
+rows, never by a per-row generator: `row_getter` projects a row to a tuple,
+`key_getter` to a join key. A key of one variable is the bare constant id, so
+no 1-tuple is built around it or hashed; wider keys are tuples, and the empty
+key is `()`.
 
 `load_csv` reads the whole file once and turns it into one flat list of
 fields, row after row. A file without a quote or a NUL whose separators and
@@ -65,7 +68,7 @@ from functools import cached_property, wraps
 from itertools import chain, compress
 from operator import itemgetter
 from typing import (
-    Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Union,
 )
 
 from .errors import IngestError, SchemaError
@@ -212,6 +215,21 @@ def row_getter(positions: Sequence[int]) -> Callable[[Tuple], Tuple]:
     if positions:
         return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(slice(0, 0))
+
+
+# A join key: the bare id of one variable, else the tuple of ids.
+Key = Union[int, Tuple[int, ...]]
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[Tuple], Key]:
+    """A C-level function taking a tuple row to its join key at `positions`:
+    the bare value for one position, else the tuple of values (`()` for
+    none). Every key of one index or queue has the same width, so the two
+    forms never meet in one dict."""
+    positions = tuple(positions)
+    if len(positions) == 1:
+        return itemgetter(positions[0])
+    return row_getter(positions)
 
 
 @dataclass(frozen=True)
@@ -589,9 +607,9 @@ def semijoin(left: Relation, right: Relation, on: Sequence[str]) -> Relation:
         if col not in right.schema:
             raise SchemaError(f"semijoin: column {col!r} not in {right.schema}")
     lpos = [left.schema.index(c) for c in on]
-    keys = set(map(row_getter([right.schema.index(c) for c in on]), right.rows))
+    keys = set(map(key_getter([right.schema.index(c) for c in on]), right.rows))
     # One selector for the rows and their weights alike.
-    found = list(map(keys.__contains__, map(row_getter(lpos), left.rows)))
+    found = list(map(keys.__contains__, map(key_getter(lpos), left.rows)))
     if all(found):
         return left
     weights = None

@@ -20,10 +20,13 @@ say) is freed by its reference count. `prepare` runs with the cyclic GC paused
 each tie-buffer fill of a `*_max` cursor, which makes the entries and outputs
 of its pulls (cursor.py).
 
-Row work is compiled per node: queue keys and child-queue keys are getters
-over the bag valuation (`data.row_getter`), and so is the tie, over the bag
-valuation followed by the child entries' ties; a node whose subtree is its own
-bag uses the valuation itself as the tie.
+Row work is compiled per node: queue keys and child-queue keys are key
+getters over the bag valuation (`data.key_getter`: a key of one variable is
+the bare constant id, a wider key a tuple, and the root's key `()`), and the
+tie is a row getter (`data.row_getter`) over the bag valuation followed by the
+child entries' ties; a node whose subtree is its own bag uses the valuation
+itself as the tie. `_hash_join` and the full reducer's semijoins key their
+indexes the same way.
 
 Set-up runs these getters over whole bags. A node covered by one atom whose
 variables are its bag in order, with no other atom to filter it, takes that
@@ -46,7 +49,9 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .data import Database, Relation, _gc_paused, row_getter, semijoin
+from .data import (
+    Database, Key, Relation, _gc_paused, key_getter, row_getter, semijoin,
+)
 from .decomposition import TreeDecomposition, gyo_join_tree
 from .errors import DecompositionError, EngineInvariantError
 from .query import ConjunctiveQuery
@@ -80,10 +85,10 @@ class NodeState:
     # the queue it joins at each child, and the entry's tie read off the
     # valuation followed by the child entries' ties (None: the tie is the
     # valuation itself).
-    key: Callable[[Row], Row]
-    child_keys: Tuple[Callable[[Row], Row], ...]
+    key: Callable[[Row], Key]
+    child_keys: Tuple[Callable[[Row], Key], ...]
     tie_of: Optional[Callable[[Row], Row]]
-    queues: Dict[Row, List[Entry]] = field(default_factory=dict)
+    queues: Dict[Key, List[Entry]] = field(default_factory=dict)
     # tie of a consumed non-root entry -> the next entry of its queue, or
     # None when there is none
     succ: Dict[Row, Optional[Entry]] = field(default_factory=dict)
@@ -103,9 +108,9 @@ def _node_state(d: TreeDecomposition, nid: int) -> NodeState:
         first.setdefault(v, i)
     subtree = sorted(node.subtree_vars, key=head_pos.__getitem__)
     return NodeState(
-        key=row_getter([order[v] for v in node.key_vars]),
+        key=key_getter([order[v] for v in node.key_vars]),
         child_keys=tuple(
-            row_getter([order[v] for v in d.nodes[c].key_vars])
+            key_getter([order[v] for v in d.nodes[c].key_vars])
             for c in node.children
         ),
         # A node whose subtree is its bag has the valuation as its tie, since
@@ -125,11 +130,11 @@ def _hash_join(
     rows_b: Sequence[Tuple[int, ...]],
 ) -> Tuple[List[str], List[Tuple[int, ...]]]:
     shared = [v for v in schema_a if v in schema_b]
-    key_a = row_getter([schema_a.index(v) for v in shared])
-    key_b = row_getter([schema_b.index(v) for v in shared])
+    key_a = key_getter([schema_a.index(v) for v in shared])
+    key_b = key_getter([schema_b.index(v) for v in shared])
     rest = [i for i, v in enumerate(schema_b) if v not in schema_a]
     tail_b = row_getter(rest)
-    index: Dict[Row, List[Row]] = defaultdict(list)
+    index: Dict[Key, List[Row]] = defaultdict(list)
     for k, tail in zip(map(key_b, rows_b), map(tail_b, rows_b)):
         index[k].append(tail)
     out_schema = schema_a + [schema_b[i] for i in rest]
@@ -314,7 +319,7 @@ def initialize_queues(
         entries = list(zip(scores, ties, rows, own, child_entries, repeat(0)))
         counters.inserts += len(entries)
         if d.nodes[nid].key_vars:
-            queues: Dict[Row, List[Entry]] = defaultdict(list)
+            queues: Dict[Key, List[Entry]] = defaultdict(list)
             for key, entry in zip(map(state.key, rows), entries):
                 queues[key].append(entry)
             state.queues = dict(queues)
@@ -328,8 +333,8 @@ def initialize_queues(
 def _child_heads(
     nid: int,
     child: int,
-    queues: Dict[Row, List[Entry]],
-    child_key: Callable[[Row], Row],
+    queues: Dict[Key, List[Entry]],
+    child_key: Callable[[Row], Key],
     rows: Sequence[Row],
 ) -> List[Entry]:
     """The top entry of the child queue each of `rows` joins."""

@@ -98,6 +98,13 @@ def encode(db: Database, value: str) -> int:
     return db.constants.index(value)
 
 
+def queue_key(ids) -> object:
+    """The queue key of a node whose key variables hold `ids`: the bare id of
+    one variable, else the tuple of ids (`()` for none)."""
+    ids = tuple(ids)
+    return ids[0] if len(ids) == 1 else ids
+
+
 def exact_diameter(cq: ConjunctiveQuery) -> int:
     """Reference diameter with the distinct-vertex/distinct-edge path rule
     enforced literally (exponential; used to cross-check the BFS version on

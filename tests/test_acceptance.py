@@ -40,6 +40,7 @@ from helpers import (
     encode,
     engine_lines,
     oracle_lines,
+    queue_key,
     random_instance,
     running_example,
 )
@@ -109,7 +110,7 @@ def test_criterion_1_running_example():
 
     def queue_scores(nid, key_raw):
         state = p.states[nid]
-        key = tuple(encode(db, v) for v in key_raw)
+        key = queue_key(encode(db, v) for v in key_raw)
         return sorted(entry[0] for entry in state.queues.get(key, []))
 
     assert queue_scores(2, ("1",)) == [1, 4]
@@ -117,7 +118,7 @@ def test_criterion_1_running_example():
     assert queue_scores(1, ("1",))[0] == 3
     assert queue_scores(0, ()) == [4, 5]
 
-    entry = p.states[1].queues[(encode(db, "1"),)][0]
+    entry = p.states[1].queues[encode(db, "1")][0]
     cursor = RankedCursor(p)
     results = cursor.drain()
     assert [r.score for r in results[:2]] == [4, 5]

@@ -506,6 +506,7 @@ def test_missing_job_part_exit_code(workspace, capsys, command, drop, err):
     "command, decomp, err",
     [
         ("enumerate", True, "--decomp applies to single-disjunct queries only"),
+        ("plan", True, "--decomp applies to single-disjunct queries only"),
         ("bench", False, "bench supports single-disjunct queries only"),
     ],
 )
@@ -516,7 +517,7 @@ def test_single_disjunct_commands_refuse_a_union(
     (workspace / "d.txt").write_text("node 1: {x,y} cover R1\nroot 1\n")
     extra = ["--decomp", str(workspace / "d.txt")] if decomp else []
     assert main([command, *_base_args(workspace), *extra]) == 2
-    assert capsys.readouterr().err == f"error: {err}\n"
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def _cli(*args):

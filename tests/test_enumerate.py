@@ -59,7 +59,7 @@ class TestRunningExample:
         """After a full drain the middle node's next-chain is the ranked
         materialization of its subtree: scores 3, 6, 7, 10."""
         db, _, cur = _cursor()
-        entry = cur.prepared.states[1].queues[(encode(db, "1"),)][0]
+        entry = cur.prepared.states[1].queues[encode(db, "1")][0]
         cur.drain()
         scores = []
         while entry is not None:

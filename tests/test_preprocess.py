@@ -16,13 +16,14 @@ from rankjoin.preprocess import full_reducer, materialize_bags
 from rankjoin.query import ConjunctiveQuery
 
 from helpers import (
-    RUNNING_QUERY, encode, random_instance, rank_for, running_example, star,
+    RUNNING_QUERY, encode, queue_key, random_instance, rank_for,
+    running_example, star,
 )
 
 
 def _queue_scores(prepared, nid, key_raw):
     state = prepared.states[nid]
-    key = tuple(encode(prepared.db, v) for v in key_raw)
+    key = queue_key(encode(prepared.db, v) for v in key_raw)
     return sorted(entry[0] for entry in state.queues.get(key, []))
 
 
@@ -149,7 +150,7 @@ class TestQueueTopMinimal:
                 child_state = p.states[c]
                 child_key_vars = p.decomposition.nodes[c].key_vars
                 order = {v: i for i, v in enumerate(node.var_order)}
-                ck = tuple(valuation[order[v]] for v in child_key_vars)
+                ck = queue_key(valuation[order[v]] for v in child_key_vars)
                 options = [
                     _subtree_score(p, c, cv)
                     for cv in valuations_at(c)
